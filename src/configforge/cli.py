@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 from .configuration import Configuration, enumerate_configurations, mask_elements, subset_mask
@@ -87,31 +85,13 @@ def cmd_verify(args) -> int:
     return OK
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("CONFIGFORGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _realize_and_verify(config: Configuration) -> bool:
-    return verify(realize(config))
-
-
 def cmd_enumerate(args) -> int:
     n = args.n
     if n is None or not 1 <= n <= 3:
         print("error: --n must be between 1 and 3", file=sys.stderr)
         return MALFORMED
     configs = list(enumerate_configurations(n))
-    workers = _thread_cap()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_realize_and_verify, configs))
-    else:
-        outcomes = [_realize_and_verify(c) for c in configs]
-    good = sum(outcomes)
+    good = sum(verify(realize(c)) for c in configs)
     print(f"verified {good}/{len(configs)} configurations for n = {n}")
     return OK if good == len(configs) else FAILED
 

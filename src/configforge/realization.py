@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .configuration import Configuration, mask_elements
 from .subgroups import Edge, SubgroupSpec, analyze, sample
-from .wreath import IDENTITY, IDENTITY_AUT, ConjugationAut, WreathElement, delta
+from .wreath import IDENTITY, IDENTITY_AUT, ConjugationAut, WreathElement, _is_int, delta
 
 # the fixed twist used by every construction: conjugation by a generator
 # of the base, whose fixed set is exactly the base
@@ -104,7 +104,7 @@ class RealizationCertificate:
         ambient = data.get("ambient_m")
         specs_raw = data.get("specs")
         reports_raw = data.get("reports")
-        if not isinstance(ambient, int) or isinstance(ambient, bool):
+        if not _is_int(ambient):
             raise ValueError("certificate needs an integer 'ambient_m'")
         if not isinstance(specs_raw, list) or not isinstance(reports_raw, list):
             raise ValueError("certificate needs 'specs' and 'reports' lists")
@@ -115,7 +115,7 @@ class RealizationCertificate:
                 raise ValueError(f"bad report entry: {entry!r}")
             mask = 0
             for e in entry["subset"]:
-                if not isinstance(e, int) or isinstance(e, bool) or e < 1:
+                if not _is_int(e) or e < 1:
                     raise ValueError(f"bad subset element: {e!r}")
                 mask |= 1 << (e - 1)
             fg = entry.get("fg")
@@ -124,7 +124,7 @@ class RealizationCertificate:
                 raise ValueError(f"bad report entry: {entry!r}")
             comps = []
             for c in comps_raw:
-                if (not isinstance(c, dict) or not isinstance(c.get("size"), int)
+                if (not isinstance(c, dict) or not _is_int(c.get("size"))
                         or not isinstance(c.get("class"), str)):
                     raise ValueError(f"bad component entry: {c!r}")
                 comps.append((c["size"], c["class"]))
@@ -145,8 +145,8 @@ def intersection_spec(specs: Sequence[SubgroupSpec], mask: int) -> SubgroupSpec:
     return result
 
 
-def _subset_analysis(specs: Sequence[SubgroupSpec], mask: int) -> SubsetReport:
-    components = analyze(intersection_spec(specs, mask))
+def _subset_analysis(spec: SubgroupSpec, mask: int) -> SubsetReport:
+    components = analyze(spec)
     return SubsetReport(
         mask,
         all(c.fg for c in components),
@@ -180,7 +180,7 @@ def realize(config: Configuration) -> RealizationCertificate:
                 )
                 pins[i].update(p + offset for p in block_spec.pins)
         specs = tuple(SubgroupSpec(ambient, edges[i], pins[i]) for i in range(n))
-    reports = {mask: _subset_analysis(specs, mask)
+    reports = {mask: _subset_analysis(intersection_spec(specs, mask), mask)
                for mask in range(1, (1 << n))}
     return RealizationCertificate(config, ambient, specs, reports)
 
@@ -207,7 +207,7 @@ def subset_checks(cert: RealizationCertificate, samples: int = 8,
     n = cert.config.n
     for mask in range(1, 1 << n):
         spec = intersection_spec(cert.specs, mask)
-        recomputed = _subset_analysis(cert.specs, mask)
+        recomputed = _subset_analysis(spec, mask)
         recorded = cert.reports[mask]
         ok = (recomputed.fg == (cert.config.value(mask) == 0)
               and recomputed.fg == recorded.fg

@@ -23,27 +23,19 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .wreath import (
-    BASE_ONLY,
+    BASE_NOT_FG,
     CYCLIC,
+    FULL_FACTOR,
     IDENTITY,
-    WHOLE_GROUP,
     ConjugationAut,
     WreathElement,
+    _is_int,
     classify_centralizer,
     delta,
     in_free_abelian_span,
 )
 
 TRIVIAL = "Trivial"
-FULL_FACTOR = "FullFactor"
-BASE_NOT_FG = "BaseNotFG"
-# the Cyclic classification reuses wreath.CYCLIC ("Cyclic")
-
-_CLASS_FROM_CENTRALIZER = {
-    WHOLE_GROUP: FULL_FACTOR,
-    CYCLIC: CYCLIC,
-    BASE_ONLY: BASE_NOT_FG,
-}
 
 
 class Edge(NamedTuple):
@@ -160,7 +152,7 @@ class SubgroupSpec:
         m = data.get("m")
         edges_raw = data.get("edges")
         pins = data.get("pins", [])
-        if not isinstance(m, int) or isinstance(m, bool):
+        if not _is_int(m):
             raise ValueError("spec needs an integer 'm'")
         if not isinstance(edges_raw, list) or not isinstance(pins, list):
             raise ValueError("spec needs 'edges' and 'pins' lists")
@@ -169,7 +161,7 @@ class SubgroupSpec:
             if not isinstance(entry, dict):
                 raise ValueError(f"bad edge entry: {entry!r}")
             src, dst = entry.get("src"), entry.get("dst")
-            if not isinstance(src, int) or not isinstance(dst, int):
+            if not _is_int(src) or not _is_int(dst):
                 raise ValueError(f"edge endpoints must be integers: {entry!r}")
             conj = WreathElement.from_json(entry.get("conjugator"))
             edges.append(Edge(src, dst, ConjugationAut(conj)))
@@ -207,10 +199,9 @@ def analyze(spec: SubgroupSpec) -> tuple[ComponentReport, ...]:
     ascending root order; the breadth-first tree visits neighbours in
     ascending index (ties by edge input order) and the remaining edges
     contribute holonomy conjugators in input order.  A pinned component is
-    Trivial; otherwise the classification is read off the joint
-    centralizer of the holonomies: WholeGroup -> FullFactor (a free copy
-    of G), Cyclic -> Cyclic, BaseOnly -> BaseNotFG (not finitely
-    generated).
+    Trivial; otherwise its class is that of the joint centralizer of the
+    holonomies: FullFactor (a free copy of G), Cyclic, or BaseNotFG (not
+    finitely generated).
     """
     adjacency: dict[int, list[tuple[int, int, bool]]] = {
         i: [] for i in range(1, spec.m + 1)
@@ -228,12 +219,14 @@ def analyze(spec: SubgroupSpec) -> tuple[ComponentReport, ...]:
         if root in visited:
             continue
         conj: dict[int, WreathElement] = {root: IDENTITY}
+        met_edges: set[int] = set()
         tree_edges: set[int] = set()
         queue = deque([root])
         visited.add(root)
         while queue:
             u = queue.popleft()
             for v, k, forward in adjacency[u]:
+                met_edges.add(k)
                 if v in visited:
                     continue
                 visited.add(v)
@@ -243,17 +236,15 @@ def analyze(spec: SubgroupSpec) -> tuple[ComponentReport, ...]:
                 queue.append(v)
         nodes = frozenset(conj)
         holonomy = []
-        for k, e in enumerate(spec.edges):
-            if e.src in nodes and k not in tree_edges:
-                holonomy.append(
-                    conj[e.dst].inverse() * e.label.conjugator * conj[e.src]
-                )
+        for k in sorted(met_edges - tree_edges):
+            e = spec.edges[k]
+            holonomy.append(conj[e.dst].inverse() * e.label.conjugator * conj[e.src])
         pinned = bool(nodes & spec.pins)
         if pinned:
             classification, generator = TRIVIAL, None
         else:
             cclass = classify_centralizer(holonomy)
-            classification = _CLASS_FROM_CENTRALIZER[cclass.tag]
+            classification = cclass.tag
             generator = cclass.generator
         reports.append(ComponentReport(
             nodes=nodes,
@@ -355,8 +346,10 @@ def nonfg_witness(spec: SubgroupSpec,
     for node in sorted(target.nodes):
         values[node - 1] = target.tree_auts[node](root_value)
     witness = tuple(values)
-    assert spec.member(witness)
-    assert not in_free_abelian_span(witness[target.root - 1], projected)
+    if not spec.member(witness):
+        raise AssertionError("witness is not a member of the subgroup")
+    if in_free_abelian_span(witness[target.root - 1], projected):
+        raise AssertionError("witness lies in the span of the candidates")
     return NonFGWitness(candidates, witness)
 
 

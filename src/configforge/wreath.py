@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from itertools import chain
+from typing import Iterable, Optional, Union
 
 BasePairs = Iterable[tuple[int, int]]
 
@@ -34,13 +35,15 @@ class WreathElement:
 
     The base is stored as a tuple of (index, coefficient) pairs, sorted by
     index, with no zero coefficients, so equality and hashing are
-    structural.
+    structural.  The constructor is the one place a base is put into that
+    form: duplicate indices are summed, zero coefficients dropped and the
+    pairs sorted.
     """
 
     __slots__ = ("base", "shift")
 
-    def __init__(self, base: Union[Mapping[int, int], BasePairs] = (), shift: int = 0):
-        items = base.items() if isinstance(base, Mapping) else base
+    def __init__(self, base: Union[dict[int, int], BasePairs] = (), shift: int = 0):
+        items = base.items() if isinstance(base, dict) else base
         acc: dict[int, int] = {}
         for index, coeff in items:
             total = acc.get(index, 0) + coeff
@@ -58,16 +61,9 @@ class WreathElement:
     def __mul__(self, other: "WreathElement") -> "WreathElement":
         if not isinstance(other, WreathElement):
             return NotImplemented
-        merged = dict(self.base)
         s = self.shift
-        for index, coeff in other.base:
-            j = index + s
-            total = merged.get(j, 0) + coeff
-            if total:
-                merged[j] = total
-            else:
-                del merged[j]
-        return WreathElement(merged, s + other.shift)
+        return WreathElement(chain(self.base, ((i + s, c) for i, c in other.base)),
+                             s + other.shift)
 
     def inverse(self) -> "WreathElement":
         s = self.shift
@@ -169,18 +165,21 @@ class ConjugationAut:
 
 IDENTITY_AUT = ConjugationAut()
 
-WHOLE_GROUP = "WholeGroup"
-BASE_ONLY = "BaseOnly"
+FULL_FACTOR = "FullFactor"
 CYCLIC = "Cyclic"
+BASE_NOT_FG = "BaseNotFG"
+# aliases kept for callers of the earlier names
+WHOLE_GROUP = FULL_FACTOR
+BASE_ONLY = BASE_NOT_FG
 
 
 @dataclass(frozen=True)
 class CentralizerClass:
     """Isomorphism type of a joint centralizer in Z wr Z.
 
-    WholeGroup: no constraint at all, the centralizer is the full group.
-    BaseOnly:   the whole free abelian base, hence not finitely generated.
+    FullFactor: no constraint at all, the centralizer is the full group.
     Cyclic:     infinite cyclic (or trivial, generator = identity).
+    BaseNotFG:  the whole free abelian base, hence not finitely generated.
     """
 
     tag: str
@@ -188,13 +187,13 @@ class CentralizerClass:
 
     @property
     def finitely_generated(self) -> bool:
-        return self.tag != BASE_ONLY
+        return self.tag != BASE_NOT_FG
 
     def contains(self, x: WreathElement) -> bool:
         """Membership predicate of the classified subgroup."""
-        if self.tag == WHOLE_GROUP:
+        if self.tag == FULL_FACTOR:
             return True
-        if self.tag == BASE_ONLY:
+        if self.tag == BASE_NOT_FG:
             return x.shift == 0
         gen = self.generator
         if gen is None:
@@ -217,17 +216,10 @@ class CentralizerClass:
         return gen ** (target // coeff) == x
 
 
-def _base_difference(base: BasePairs, offset: int) -> tuple[tuple[int, int], ...]:
+def _base_difference(base: tuple[tuple[int, int], ...],
+                     offset: int) -> tuple[tuple[int, int], ...]:
     """The Laurent product base * (1 - x^offset), canonical."""
-    acc: dict[int, int] = {}
-    for index, coeff in base:
-        for j, c in ((index, coeff), (index + offset, -coeff)):
-            total = acc.get(j, 0) + c
-            if total:
-                acc[j] = total
-            elif j in acc:
-                del acc[j]
-    return tuple(sorted(acc.items()))
+    return WreathElement(chain(base, ((i + offset, -c) for i, c in base))).base
 
 
 def _divide_one_minus(numerator: BasePairs, t: int) -> Optional[dict[int, int]]:
@@ -295,12 +287,12 @@ def classify_centralizer(elements: Iterable[WreathElement]) -> CentralizerClass:
     """
     nontrivial = [g for g in elements if not g.is_identity]
     if not nontrivial:
-        return CentralizerClass(WHOLE_GROUP)
+        return CentralizerClass(FULL_FACTOR)
     shifted = [g for g in nontrivial if g.shift != 0]
     if not shifted:
         # each constraint is a nontrivial base element, whose centralizer
         # is exactly the base; intersections of the base are the base
-        return CentralizerClass(BASE_ONLY)
+        return CentralizerClass(BASE_NOT_FG)
     if len(shifted) < len(nontrivial):
         return CentralizerClass(CYCLIC, IDENTITY)
     head = shifted[0]
@@ -309,7 +301,8 @@ def classify_centralizer(elements: Iterable[WreathElement]) -> CentralizerClass:
             return CentralizerClass(CYCLIC, IDENTITY)
     step = math.lcm(*(cyclic_centralizer_generator(g).shift for g in shifted))
     quotient = _divide_one_minus(_base_difference(head.base, step), head.shift)
-    assert quotient is not None  # step is a multiple of head's minimal shift
+    if quotient is None:
+        raise AssertionError("unreachable: step is a multiple of head's minimal shift")
     return CentralizerClass(CYCLIC, WreathElement(quotient, step))
 
 

@@ -137,6 +137,24 @@ def test_analyze_malformed(tmp_path):
     assert main(["analyze", "--spec", str(bad)]) == 2
 
 
+def test_analyze_bool_endpoint_exits_2(tmp_path):
+    spec = {"m": 2, "edges": [{"src": True, "dst": 2,
+                               "conjugator": {"base": [], "shift": 0}}], "pins": []}
+    assert main(["analyze", "--spec", write_json(tmp_path / "s.json", spec)]) == 2
+
+
+def test_verify_bool_component_size_exits_2(tmp_path, capsys):
+    config = write_json(tmp_path / "c.json", {"n": 2, "ones": [[1]]})
+    cert = tmp_path / "cert.json"
+    assert main(["realize", "--config", config, "--out", str(cert)]) == 0
+    data = json.loads(cert.read_text(encoding="utf-8"))
+    component = data["reports"][0]["components"][0]
+    assert component["size"] == 1
+    component["size"] = True
+    cert.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["verify", "--cert", str(cert)]) == 2
+
+
 def test_witness_default_candidates(howson_cert, capsys):
     assert main(["witness", "--cert", str(howson_cert), "--subset", "1,2"]) == 0
     payload = json.loads(capsys.readouterr().out)

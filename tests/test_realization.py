@@ -145,6 +145,15 @@ def test_certificate_json_roundtrip():
     assert verify(again)
 
 
+def test_certificate_json_rejects_bool_component_size():
+    data = realize(Configuration(2, [0b01])).to_json()
+    component = data["reports"][0]["components"][0]
+    assert component["size"] == 1  # true would compare equal to it
+    component["size"] = True
+    with pytest.raises(ValueError):
+        RealizationCertificate.from_json(data)
+
+
 def test_fixed_subgroup_identity_aut():
     decomposition, spec = fixed_subgroup(PermutationalAut([1, 2, 3]))
     assert decomposition.count == 3

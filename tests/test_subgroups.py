@@ -1,10 +1,14 @@
 """Constraint subgroups: intersection, membership, analysis, sampling,
 and non-finite-generation witnesses."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import configforge
 import oracles
 from configforge import (
     BASE_NOT_FG,
@@ -273,6 +277,35 @@ def test_nonfg_witness_rejects_non_member_candidates():
         nonfg_witness(spec, [(delta(0), delta(1))])
 
 
+_OPTIMIZED_WITNESS_SCRIPT = """
+import sys
+from configforge import intersection_spec, realize_atom, subgroups
+if __debug__:
+    sys.exit(3)  # not running under -O
+subgroups.in_free_abelian_span = lambda target, generators: True
+spec = intersection_spec(realize_atom(2, [1, 2]), 0b11)
+try:
+    subgroups.nonfg_witness(spec, [])
+except AssertionError:
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_nonfg_witness_soundness_checks_run_under_optimize():
+    # a span check that wrongly accepts the witness must still be caught
+    # when assert statements are compiled away
+    package_root = os.path.dirname(os.path.dirname(configforge.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_WITNESS_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_analyzer_matches_naive_oracle_small():
     rng = random.Random(41)
     for _ in range(40):
@@ -292,3 +325,12 @@ def test_spec_json_roundtrip():
         SubgroupSpec.from_json({"m": 2, "edges": [{"src": 1}], "pins": []})
     with pytest.raises(ValueError):
         SubgroupSpec.from_json({"m": "x", "edges": [], "pins": []})
+
+
+@pytest.mark.parametrize("endpoints", [(True, 2), (1, True), (True, True)])
+def test_spec_json_rejects_bool_endpoints(endpoints):
+    src, dst = endpoints
+    data = {"m": 2, "edges": [{"src": src, "dst": dst,
+                               "conjugator": {"base": [], "shift": 0}}], "pins": []}
+    with pytest.raises(ValueError):
+        SubgroupSpec.from_json(data)
