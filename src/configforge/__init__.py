@@ -8,18 +8,14 @@ re-runnable decision procedure.
 """
 
 from .configuration import (
-    MAX_N,
     Configuration,
     enumerate_configurations,
     mask_elements,
     subset_mask,
 )
 from .realization import (
-    Orbit,
-    OrbitDecomposition,
     PermutationalAut,
     RealizationCertificate,
-    SubsetReport,
     TWIST_AUT,
     embed_orbit_roots,
     fixed_subgroup,
@@ -31,9 +27,7 @@ from .realization import (
 )
 from .subgroups import (
     TRIVIAL,
-    ComponentReport,
     Edge,
-    NonFGWitness,
     SubgroupSpec,
     analyze,
     identity_tuple,
@@ -67,21 +61,15 @@ __all__ = [
     "BASE_ONLY",
     "CYCLIC",
     "CentralizerClass",
-    "ComponentReport",
     "Configuration",
     "ConjugationAut",
     "Edge",
     "FULL_FACTOR",
     "IDENTITY",
     "IDENTITY_AUT",
-    "MAX_N",
-    "NonFGWitness",
-    "Orbit",
-    "OrbitDecomposition",
     "PermutationalAut",
     "RealizationCertificate",
     "SubgroupSpec",
-    "SubsetReport",
     "TRIVIAL",
     "TWIST_AUT",
     "WHOLE_GROUP",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .configuration import Configuration, mask_elements
-from .subgroups import Edge, SubgroupSpec, analyze, sample
+from .subgroups import Edge, SubgroupSpec, _fill_component, analyze, sample
 from .wreath import IDENTITY, IDENTITY_AUT, ConjugationAut, WreathElement, _is_int, delta
 
 # the fixed twist used by every construction: conjugation by a generator
@@ -135,14 +135,21 @@ class RealizationCertificate:
 
 
 def intersection_spec(specs: Sequence[SubgroupSpec], mask: int) -> SubgroupSpec:
-    """Fold the specs selected by a nonempty subset mask, ascending index."""
-    result: Optional[SubgroupSpec] = None
-    for i in range(1, len(specs) + 1):
-        if (mask >> (i - 1)) & 1:
-            result = specs[i - 1] if result is None else result.intersect(specs[i - 1])
-    if result is None:
+    """Intersection of the specs selected by a nonempty subset mask.
+
+    One spec holding the selected specs' edges in ascending index and the
+    union of their pins; deduplication keeps first occurrences, so this is
+    the same spec as folding ``SubgroupSpec.intersect`` over them.
+    """
+    selected = [spec for i, spec in enumerate(specs) if (mask >> i) & 1]
+    if not selected:
         raise ValueError("subset mask must be nonempty")
-    return result
+    m = selected[0].m
+    for spec in selected:
+        if spec.m != m:
+            raise ValueError(f"mismatched ambient power: {m} vs {spec.m}")
+    return SubgroupSpec(m, [e for spec in selected for e in spec.edges],
+                        frozenset().union(*(spec.pins for spec in selected)))
 
 
 def _subset_analysis(spec: SubgroupSpec, mask: int) -> SubsetReport:
@@ -285,39 +292,25 @@ class OrbitDecomposition:
         return len(self.orbits)
 
 
-def _orbit_cycle(aut: PermutationalAut, start: int) -> list[int]:
-    cycle = [start]
-    current = aut.perm[start - 1]
-    while current != start:
-        cycle.append(current)
-        current = aut.perm[current - 1]
-    return cycle
-
-
 def fixed_subgroup(aut: PermutationalAut) -> tuple[OrbitDecomposition, SubgroupSpec]:
     """Fixed set of the induced automorphism of G^k as a constraint
     subgroup, plus the orbit decomposition that explains it.
 
     The fixed-point condition reads g_{perm(j)} = labels_j(g_j) for every
     j, so the constraint graph's components are exactly the orbits of the
-    permutation and each orbit closes one cycle whose holonomy is the
-    composite twist around it.
+    permutation.  Each orbit is read off ``analyze``: its root, its size,
+    and the holonomy of the one cycle it closes, which is the composite
+    twist around the orbit.  A 2-cycle whose labels are mutually inverse
+    keeps one edge after deduplication and closes no cycle; its composite
+    twist is the identity.
     """
     edges = [Edge(src=j, dst=aut.perm[j - 1], label=aut.labels[j - 1])
              for j in range(1, aut.k + 1)]
     spec = SubgroupSpec(aut.k, edges)
-    orbits = []
-    seen: set[int] = set()
-    for j in range(1, aut.k + 1):
-        if j in seen:
-            continue
-        cycle = _orbit_cycle(aut, j)
-        seen.update(cycle)
-        holonomy = IDENTITY
-        for node in cycle:
-            holonomy = aut.labels[node - 1].conjugator * holonomy
-        orbits.append(Orbit(representative=j, size=len(cycle), holonomy=holonomy))
-    return OrbitDecomposition(tuple(orbits)), spec
+    orbits = tuple(Orbit(representative=report.root, size=report.size,
+                         holonomy=report.holonomy[0] if report.holonomy else IDENTITY)
+                   for report in analyze(spec))
+    return OrbitDecomposition(orbits), spec
 
 
 def embed_orbit_roots(aut: PermutationalAut,
@@ -325,24 +318,20 @@ def embed_orbit_roots(aut: PermutationalAut,
     """Assemble a fixed point of ``aut`` from one root value per orbit.
 
     Each root must commute with its orbit's holonomy conjugator; the root
-    is then twisted into every position along the cycle.  The assembly is
-    injective and a homomorphism in the roots.
+    is then carried to every position of the orbit by the spanning-tree
+    automorphisms of ``analyze``.  The assembly is injective and a
+    homomorphism in the roots.
     """
-    decomposition, _ = fixed_subgroup(aut)
-    expected = {orbit.representative for orbit in decomposition.orbits}
+    _, spec = fixed_subgroup(aut)
+    reports = analyze(spec)
+    expected = {report.root for report in reports}
     if set(roots) != expected:
         raise ValueError(f"roots must be given exactly at {sorted(expected)}")
     values: list[WreathElement] = [IDENTITY] * aut.k
-    for orbit in decomposition.orbits:
-        root_value = roots[orbit.representative]
-        if not orbit.holonomy.commutes_with(root_value):
+    for report in reports:
+        root_value = roots[report.root]
+        if not all(h.commutes_with(root_value) for h in report.holonomy):
             raise ValueError(
-                f"root at {orbit.representative} is not fixed by the orbit holonomy")
-        current = root_value
-        values[orbit.representative - 1] = current
-        node = orbit.representative
-        for _ in range(orbit.size - 1):
-            current = aut.labels[node - 1](current)
-            node = aut.perm[node - 1]
-            values[node - 1] = current
+                f"root at {report.root} is not fixed by the orbit holonomy")
+        _fill_component(values, report, root_value)
     return tuple(values)

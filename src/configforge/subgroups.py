@@ -20,13 +20,15 @@ import functools
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .wreath import (
     BASE_NOT_FG,
     CYCLIC,
     FULL_FACTOR,
     IDENTITY,
+    IDENTITY_AUT,
     ConjugationAut,
     WreathElement,
     _is_int,
@@ -72,19 +74,20 @@ class SubgroupSpec:
     __slots__ = ("m", "edges", "pins")
 
     def __init__(self, m: int, edges: Iterable[Edge] = (), pins: Iterable[int] = ()):
-        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+        if not _is_int(m) or m < 1:
             raise ValueError(f"ambient power m must be a positive integer, got {m!r}")
-        pin_set = frozenset(pins)
-        for p in pin_set:
-            if not isinstance(p, int) or isinstance(p, bool) or not 1 <= p <= m:
+        pins = tuple(pins)
+        for p in pins:
+            if not _is_int(p) or not 1 <= p <= m:
                 raise ValueError(f"pin {p!r} out of range 1..{m}")
         deduped: list[Edge] = []
         seen: set[tuple] = set()
         for edge in edges:
             if not isinstance(edge, Edge):
                 edge = Edge(*edge)
-            if not 1 <= edge.src <= m or not 1 <= edge.dst <= m:
-                raise ValueError(f"edge {edge.src}->{edge.dst} out of range 1..{m}")
+            src, dst = edge.src, edge.dst
+            if not (_is_int(src) and _is_int(dst) and 1 <= src <= m and 1 <= dst <= m):
+                raise ValueError(f"edge endpoints {src!r}->{dst!r} must be integers in 1..{m}")
             key = _constraint_key(edge)
             if key in seen:
                 continue
@@ -92,7 +95,7 @@ class SubgroupSpec:
             deduped.append(edge)
         self.m = m
         self.edges: tuple[Edge, ...] = tuple(deduped)
-        self.pins = pin_set
+        self.pins = frozenset(pins)
 
     @classmethod
     def free(cls, m: int) -> "SubgroupSpec":
@@ -160,28 +163,25 @@ class SubgroupSpec:
         for entry in edges_raw:
             if not isinstance(entry, dict):
                 raise ValueError(f"bad edge entry: {entry!r}")
-            src, dst = entry.get("src"), entry.get("dst")
-            if not _is_int(src) or not _is_int(dst):
-                raise ValueError(f"edge endpoints must be integers: {entry!r}")
             conj = WreathElement.from_json(entry.get("conjugator"))
-            edges.append(Edge(src, dst, ConjugationAut(conj)))
+            edges.append(Edge(entry.get("src"), entry.get("dst"), ConjugationAut(conj)))
         return SubgroupSpec(m, edges, pins)
 
 
-@dataclass
-class ComponentReport:
+class ComponentReport(NamedTuple):
     """Analysis of one connected component of the constraint graph.
 
     ``tree_auts`` maps each node to the automorphism expressing its
     coordinate in terms of the root value; ``holonomy`` lists one
-    conjugator per independent cycle, expressed at the root.
+    conjugator per independent cycle, expressed at the root.  Reports are
+    cached by ``analyze``, so they are immutable: ``tree_auts`` is a
+    read-only mapping.
     """
 
     nodes: frozenset[int]
     root: int
-    tree_auts: dict[int, ConjugationAut]
+    tree_auts: Mapping[int, ConjugationAut]
     holonomy: tuple[WreathElement, ...]
-    pinned: bool
     classification: str
     generator: Optional[WreathElement]
     fg: bool
@@ -218,7 +218,7 @@ def analyze(spec: SubgroupSpec) -> tuple[ComponentReport, ...]:
     for root in range(1, spec.m + 1):
         if root in visited:
             continue
-        conj: dict[int, WreathElement] = {root: IDENTITY}
+        auts: dict[int, ConjugationAut] = {root: IDENTITY_AUT}
         met_edges: set[int] = set()
         tree_edges: set[int] = set()
         queue = deque([root])
@@ -231,16 +231,16 @@ def analyze(spec: SubgroupSpec) -> tuple[ComponentReport, ...]:
                     continue
                 visited.add(v)
                 h = spec.edges[k].label.conjugator
-                conj[v] = (h if forward else h.inverse()) * conj[u]
+                auts[v] = ConjugationAut((h if forward else h.inverse()) * auts[u].conjugator)
                 tree_edges.add(k)
                 queue.append(v)
-        nodes = frozenset(conj)
+        nodes = frozenset(auts)
         holonomy = []
         for k in sorted(met_edges - tree_edges):
             e = spec.edges[k]
-            holonomy.append(conj[e.dst].inverse() * e.label.conjugator * conj[e.src])
-        pinned = bool(nodes & spec.pins)
-        if pinned:
+            holonomy.append(auts[e.dst].conjugator.inverse() * e.label.conjugator
+                            * auts[e.src].conjugator)
+        if nodes & spec.pins:
             classification, generator = TRIVIAL, None
         else:
             cclass = classify_centralizer(holonomy)
@@ -249,9 +249,8 @@ def analyze(spec: SubgroupSpec) -> tuple[ComponentReport, ...]:
         reports.append(ComponentReport(
             nodes=nodes,
             root=root,
-            tree_auts={node: ConjugationAut(c) for node, c in conj.items()},
+            tree_auts=MappingProxyType(auts),
             holonomy=tuple(holonomy),
-            pinned=pinned,
             classification=classification,
             generator=generator,
             fg=classification != BASE_NOT_FG,
@@ -261,6 +260,13 @@ def analyze(spec: SubgroupSpec) -> tuple[ComponentReport, ...]:
 
 def is_finitely_generated(spec: SubgroupSpec) -> bool:
     return all(report.fg for report in analyze(spec))
+
+
+def _fill_component(values: list[WreathElement], report: ComponentReport,
+                    root_value: WreathElement) -> None:
+    """Write the component's coordinates determined by ``root_value``."""
+    for node in report.nodes:
+        values[node - 1] = report.tree_auts[node](root_value)
 
 
 def _random_base(rng: random.Random, bound: int) -> dict[int, int]:
@@ -290,9 +296,7 @@ def sample(spec: SubgroupSpec, seed: int = 0, size_bound: int = 2) -> tuple[Wrea
     rng = random.Random(seed)
     values = [IDENTITY] * spec.m
     for report in analyze(spec):
-        root_value = _draw_root(rng, report, size_bound)
-        for node in sorted(report.nodes):
-            values[node - 1] = report.tree_auts[node](root_value)
+        _fill_component(values, report, _draw_root(rng, report, size_bound))
     return tuple(values)
 
 
@@ -341,10 +345,8 @@ def nonfg_witness(spec: SubgroupSpec,
     for p in projected:
         for index, _ in p.base:
             bound = max(bound, abs(index))
-    root_value = delta(bound + 1)
     values = [IDENTITY] * spec.m
-    for node in sorted(target.nodes):
-        values[node - 1] = target.tree_auts[node](root_value)
+    _fill_component(values, target, delta(bound + 1))
     witness = tuple(values)
     if not spec.member(witness):
         raise AssertionError("witness is not a member of the subgroup")

@@ -22,7 +22,6 @@ polynomial division by 1 - x^t.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Optional, Union
@@ -70,11 +69,13 @@ class WreathElement:
         return WreathElement([(i - s, -c) for i, c in self.base], -s)
 
     def __pow__(self, exponent: int) -> "WreathElement":
+        if self.shift == 0:
+            return WreathElement([(i, c * exponent) for i, c in self.base])
         factor = self if exponent >= 0 else self.inverse()
-        result = IDENTITY
-        for _ in range(abs(exponent)):
-            result = result * factor
-        return result
+        s = factor.shift
+        # (b, s)^k = (b + s.b + ... + (k-1)s.b, k s)
+        return WreathElement([(i + j * s, c) for i, c in factor.base
+                              for j in range(abs(exponent))], s * abs(exponent))
 
     def commutes_with(self, other: "WreathElement") -> bool:
         return self * other == other * self
@@ -283,7 +284,9 @@ def classify_centralizer(elements: Iterable[WreathElement]) -> CentralizerClass:
     while any constraint with nonzero shift pins it inside an infinite
     cyclic group.  Mixing the two, or combining shifted constraints whose
     base data disagree as rational functions v / (1 - x^t), leaves only the
-    identity.
+    identity.  Otherwise the shifted constraints all commute with the
+    first one and share its centralizer, whose generator is
+    ``cyclic_centralizer_generator`` of that first constraint.
     """
     nontrivial = [g for g in elements if not g.is_identity]
     if not nontrivial:
@@ -299,11 +302,10 @@ def classify_centralizer(elements: Iterable[WreathElement]) -> CentralizerClass:
     for g in shifted[1:]:
         if _base_difference(head.base, g.shift) != _base_difference(g.base, head.shift):
             return CentralizerClass(CYCLIC, IDENTITY)
-    step = math.lcm(*(cyclic_centralizer_generator(g).shift for g in shifted))
-    quotient = _divide_one_minus(_base_difference(head.base, step), head.shift)
-    if quotient is None:
-        raise AssertionError("unreachable: step is a multiple of head's minimal shift")
-    return CentralizerClass(CYCLIC, WreathElement(quotient, step))
+    # every g now lies in C(head), which is infinite cyclic (it embeds in Z
+    # through the shift); a nonzero power of its generator has that same
+    # centralizer, so all the shifted constraints cut out C(head)
+    return CentralizerClass(CYCLIC, cyclic_centralizer_generator(head))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

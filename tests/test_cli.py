@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, determinism, file handling."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import configforge
 from configforge.cli import main
 
 HOWSON = {"n": 2, "ones": [[1, 2]]}
@@ -200,9 +202,13 @@ def test_unknown_command_exits_2(capsys):
 
 
 def test_certificate_verifies_in_separate_process(howson_cert):
+    package_root = os.path.dirname(os.path.dirname(configforge.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
     result = subprocess.run(
         [sys.executable, "-m", "configforge", "verify", "--cert", str(howson_cert)],
-        capture_output=True, text=True, timeout=120,
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0
     assert "3/3" in result.stdout

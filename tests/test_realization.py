@@ -18,6 +18,7 @@ from configforge import (
     ConjugationAut,
     PermutationalAut,
     RealizationCertificate,
+    SubgroupSpec,
     WreathElement,
     analyze,
     delta,
@@ -183,6 +184,46 @@ def test_fixed_subgroup_three_cycle_with_twist():
     assert decomposition.orbits[0].holonomy == delta(0)
     reports = analyze(spec)
     assert len(reports) == 1 and reports[0].classification == BASE_NOT_FG
+
+
+def test_orbit_holonomy_is_product_of_labels_around_cycle():
+    rng = random.Random(61)
+    forced_inverse_pairs = 0
+    for _ in range(60):
+        k = rng.randint(1, 6)
+        perm = list(range(1, k + 1))
+        rng.shuffle(perm)
+        labels = [ConjugationAut(oracles.random_element(rng, radius=1))
+                  for _ in range(k)]
+        for j in range(1, k + 1):
+            p = perm[j - 1]
+            if j < p and perm[p - 1] == j and rng.random() < 0.5:
+                labels[p - 1] = labels[j - 1].inverse()
+                forced_inverse_pairs += 1
+        decomposition, _ = fixed_subgroup(PermutationalAut(perm, labels))
+        seen = set()
+        expected = []
+        for start in range(1, k + 1):
+            if start in seen:
+                continue
+            product, node, size = IDENTITY, start, 0
+            while node not in seen:
+                seen.add(node)
+                product = labels[node - 1].conjugator * product
+                node = perm[node - 1]
+                size += 1
+            expected.append((start, size, product))
+        assert [(o.representative, o.size, o.holonomy)
+                for o in decomposition.orbits] == expected
+    assert forced_inverse_pairs > 0
+
+
+def test_intersection_spec_rejects_mismatched_ambient():
+    specs = [SubgroupSpec.free(2), SubgroupSpec.free(3)]
+    with pytest.raises(ValueError):
+        intersection_spec(specs, 0b11)
+    with pytest.raises(ValueError):
+        intersection_spec(specs, 0)
 
 
 def test_permutational_aut_validation():

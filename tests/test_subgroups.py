@@ -109,6 +109,18 @@ def test_edge_validation():
         SubgroupSpec(2, (), [5])
 
 
+@pytest.mark.parametrize("endpoints", [(True, 2), (1, True), ("1", 2), (1, None)])
+def test_constructor_rejects_non_integer_endpoints(endpoints):
+    with pytest.raises(ValueError):
+        SubgroupSpec(2, [Edge(*endpoints, IDENTITY_AUT)])
+
+
+def test_constructor_rejects_non_integer_pins():
+    for pins in ([True], ["1"], [[1]]):
+        with pytest.raises(ValueError):
+            SubgroupSpec(2, (), pins)
+
+
 def test_analyze_empty_spec_is_full_factors():
     reports = analyze(SubgroupSpec.free(2))
     assert [r.classification for r in reports] == [FULL_FACTOR, FULL_FACTOR]
@@ -134,6 +146,17 @@ def test_analyze_chain_twist_subsets():
         else:
             assert len(reports) == n - size
             assert all(r.classification == FULL_FACTOR for r in reports)
+
+
+def test_analyze_reports_are_immutable():
+    report = analyze(chain_twist_spec(2))[0]
+    snapshot = (dict(report.tree_auts), report.classification)
+    with pytest.raises(TypeError):
+        report.tree_auts[1] = TWIST_AUT
+    with pytest.raises(AttributeError):
+        report.classification = FULL_FACTOR
+    again = analyze(chain_twist_spec(2))[0]
+    assert (dict(again.tree_auts), again.classification) == snapshot
 
 
 def test_analyze_pinned_node_wins_over_holonomy():

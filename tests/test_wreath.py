@@ -1,6 +1,7 @@
 """Arithmetic, automorphism, and centralizer tests for the wreath core."""
 
 import random
+import time
 
 import pytest
 
@@ -64,6 +65,23 @@ def test_pow():
     assert g ** 1 == g
     assert g ** 2 == g * g
     assert g ** -2 == (g * g).inverse()
+    rng = random.Random(53)
+    for _ in range(30):
+        g = oracles.random_element(rng, radius=2)
+        for k in range(-4, 5):
+            expected = IDENTITY
+            for _ in range(abs(k)):
+                expected = expected * (g if k > 0 else g.inverse())
+            assert g ** k == expected
+
+
+def test_pow_large_exponents_in_closed_form():
+    start = time.perf_counter()
+    assert (WreathElement({0: 1}, 1) ** 8000
+            == WreathElement({i: 1 for i in range(8000)}, 8000))
+    assert time.perf_counter() - start < 1.0
+    assert delta(0, 3) ** 10**12 == delta(0, 3 * 10**12)
+    assert WreathElement({}, -2) ** 10**12 == WreathElement({}, -2 * 10**12)
 
 
 def test_apply_aut_fixes_identity():
@@ -168,6 +186,16 @@ def test_cyclic_generator_commutes_and_spans_box():
         assert members <= powers
 
 
+def test_classify_commuting_powers_is_centralizer_of_first():
+    rng = random.Random(59)
+    for shift in (1, 2, -3, 4, 6):
+        for _ in range(5):
+            g = WreathElement({i: rng.randint(-2, 2) for i in range(-2, 3)}, shift)
+            cls = classify_centralizer([g ** 2, g ** -3, g ** 6])
+            assert cls.tag == CYCLIC
+            assert cls.generator == cyclic_centralizer_generator(g ** 2)
+
+
 def test_cyclic_generator_rejects_zero_shift():
     with pytest.raises(ValueError):
         cyclic_centralizer_generator(delta(0))
@@ -184,6 +212,7 @@ def test_centralizer_class_contains_base_generator():
     assert not cls.contains(delta(0, 3))
     assert not cls.contains(delta(1, 2))
     assert not cls.contains(WreathElement({0: 2}, 1))
+    assert cls.contains(delta(0, 2 * 10**12))  # a closed-form power, at once
 
 
 def test_span_examples():
