@@ -8,6 +8,10 @@ Multiplication follows the semidirect-product law
     (a, s) * (b, t) = (a + s.b, s + t)
 
 where ``s.b`` translates every index in the support of ``b`` by ``s``.
+Conjugating x = (b, t) by h = (a, s) follows from it in closed form:
+
+    h x h^-1 = (s.b + a - t.a, t)
+
 Coefficients and shifts are unbounded Python integers; every operation is
 exact.
 
@@ -61,12 +65,16 @@ class WreathElement:
         if not isinstance(other, WreathElement):
             return NotImplemented
         s = self.shift
+        if not other.base:
+            return _trusted(self.base, s + other.shift)
+        if not self.base:
+            return _trusted(_translate(other.base, s), s + other.shift)
         return WreathElement(chain(self.base, ((i + s, c) for i, c in other.base)),
                              s + other.shift)
 
     def inverse(self) -> "WreathElement":
         s = self.shift
-        return WreathElement([(i - s, -c) for i, c in self.base], -s)
+        return _trusted(tuple([(i - s, -c) for i, c in self.base]), -s)
 
     def __pow__(self, exponent: int) -> "WreathElement":
         if self.shift == 0:
@@ -78,7 +86,9 @@ class WreathElement:
                               for j in range(abs(exponent))], s * abs(exponent))
 
     def commutes_with(self, other: "WreathElement") -> bool:
-        return self * other == other * self
+        # (w, s) and (v, t) commute iff v (1 - x^s) = w (1 - x^t)
+        return (_base_difference(other.base, self.shift)
+                == _base_difference(self.base, other.shift))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WreathElement):
@@ -115,6 +125,25 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _trusted(base: tuple[tuple[int, int], ...], shift: int) -> WreathElement:
+    """Element over a base already in canonical form (sorted, no zeros).
+
+    Skips the constructor's merge; only for bases canonical by
+    construction, such as a translate or negation of a canonical base.
+    """
+    element = object.__new__(WreathElement)
+    element.base = base
+    element.shift = shift
+    return element
+
+
+def _translate(base: tuple[tuple[int, int], ...], offset: int) -> tuple[tuple[int, int], ...]:
+    """The base shifted by ``offset``; translation keeps it canonical."""
+    if not offset:
+        return base
+    return tuple([(i + offset, c) for i, c in base])
+
+
 IDENTITY = WreathElement()
 
 
@@ -129,6 +158,12 @@ class ConjugationAut:
     The center of Z wr Z is trivial, so the conjugator determines the
     automorphism; equality and hashing go through it.  Composition
     multiplies conjugators: (phi_a . phi_b) = phi_{a b}.
+
+    Applying it uses the closed form h x h^-1 = (s.b + a (1 - x^t), t) for
+    h = (a, s) and x = (b, t).  An identity conjugator or argument returns
+    ``x`` itself, and when a = 0 or t = 0 the result is the translate s.b,
+    canonical already; only the remaining case merges and sorts a base,
+    once.
     """
 
     __slots__ = ("conjugator",)
@@ -138,7 +173,14 @@ class ConjugationAut:
 
     def __call__(self, x: WreathElement) -> WreathElement:
         h = self.conjugator
-        return h * x * h.inverse()
+        a, s = h.base, h.shift
+        b, t = x.base, x.shift
+        if not a and not s or not b and not t:
+            return x
+        if not a or not t:
+            return _trusted(_translate(b, s), t)
+        return WreathElement(chain(((i + s, c) for i, c in b), a,
+                                   ((i + t, -c) for i, c in a)), t)
 
     def __mul__(self, other: "ConjugationAut") -> "ConjugationAut":
         if not isinstance(other, ConjugationAut):
@@ -204,7 +246,10 @@ class CentralizerClass:
         if gen.shift != 0:
             if x.shift % gen.shift:
                 return False
-            return gen ** (x.shift // gen.shift) == x
+            # x = gen^k with k = x.shift / gen.shift iff, as Laurent
+            # polynomials, x.base (1 - x^s) = gen.base (1 - x^(k s))
+            return (_base_difference(x.base, gen.shift)
+                    == _base_difference(gen.base, x.shift))
         # shift-zero generator: powers are integer multiples of the base
         if x.shift != 0:
             return False

@@ -4,6 +4,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from configforge import (
@@ -11,6 +13,7 @@ from configforge import (
     CYCLIC,
     IDENTITY,
     WHOLE_GROUP,
+    CentralizerClass,
     ConjugationAut,
     WreathElement,
     classify_centralizer,
@@ -213,6 +216,97 @@ def test_centralizer_class_contains_base_generator():
     assert not cls.contains(delta(1, 2))
     assert not cls.contains(WreathElement({0: 2}, 1))
     assert cls.contains(delta(0, 2 * 10**12))  # a closed-form power, at once
+
+
+def test_centralizer_class_contains_large_shift_without_powers():
+    start = time.perf_counter()
+    pure = CentralizerClass(CYCLIC, WreathElement({}, 1))
+    assert pure.contains(WreathElement({}, 10**9))
+    assert pure.contains(WreathElement({}, -10**9))
+    assert not pure.contains(WreathElement({0: 1}, 10**9))
+    # (d0, 1)^(10^9) has 10^9 terms in its base, so the bare shift is no power
+    based = CentralizerClass(CYCLIC, WreathElement({0: 1}, 1))
+    assert not based.contains(WreathElement({}, 10**9))
+    assert not based.contains(WreathElement({0: 1, 10**9 - 1: 1}, 10**9))
+    assert not CentralizerClass(CYCLIC, WreathElement({}, 2)).contains(
+        WreathElement({}, 10**9 + 1))
+    assert time.perf_counter() - start < 1.0
+
+
+# -- properties of the kernel against the long forms -------------------------
+
+_indices = st.one_of(st.integers(-6, 6), st.integers(-10**12, 10**12))
+_bases = st.lists(st.tuples(_indices, st.integers(-3, 3)), max_size=6)
+_shifts = st.one_of(st.integers(-4, 4), st.integers(-10**9, 10**9))
+elements = st.one_of(
+    st.just(IDENTITY),
+    st.builds(WreathElement, _bases, st.just(0)),
+    st.builds(WreathElement, st.just(()), _shifts),
+    st.builds(WreathElement, _bases, _shifts),
+)
+
+
+def _long_product(x, y):
+    """(a, s) * (b, t) = (a + s.b, s + t) through the canonicalising constructor."""
+    s = x.shift
+    return WreathElement(list(x.base) + [(i + s, c) for i, c in y.base], s + y.shift)
+
+
+def _long_inverse(x):
+    s = x.shift
+    return WreathElement([(i - s, -c) for i, c in x.base], -s)
+
+
+def _assert_canonical(r):
+    assert isinstance(r.base, tuple)
+    assert all(type(pair) is tuple and len(pair) == 2 for pair in r.base)
+    indices = [i for i, _ in r.base]
+    assert all(i < j for i, j in zip(indices, indices[1:]))
+    assert all(c != 0 for _, c in r.base)
+    rebuilt = WreathElement(dict(r.base), r.shift)
+    assert r == rebuilt and hash(r) == hash(rebuilt)
+
+
+@settings(max_examples=300, deadline=None)
+@given(elements, elements)
+def test_conjugation_matches_long_form(h, x):
+    got = ConjugationAut(h)(x)
+    _assert_canonical(got)
+    assert got == _long_product(_long_product(h, x), _long_inverse(h))
+
+
+@settings(max_examples=300, deadline=None)
+@given(elements, elements)
+def test_product_and_inverse_canonical(x, y):
+    product = x * y
+    _assert_canonical(product)
+    assert product == _long_product(x, y)
+    inverse = x.inverse()
+    _assert_canonical(inverse)
+    assert inverse == _long_inverse(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(elements.flatmap(lambda x: st.tuples(
+    st.just(x), st.one_of(elements, st.integers(-3, 3).map(lambda k: x ** k)))))
+def test_commutes_with_matches_products(pair):
+    x, y = pair
+    assert x.commutes_with(y) == (_long_product(x, y) == _long_product(y, x))
+
+
+_small_elements = st.builds(
+    WreathElement, st.lists(st.tuples(st.integers(-4, 4), st.integers(-2, 2)), max_size=4),
+    st.integers(-4, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(WreathElement, st.one_of(st.just(()), _bases.filter(lambda b: len(b) < 3)),
+                 st.sampled_from([-3, -2, -1, 1, 2, 3])),
+       st.integers(-6, 6), st.one_of(st.just(IDENTITY), _small_elements))
+def test_contains_matches_powers(gen, k, perturbation):
+    x = gen ** k * perturbation
+    member = x.shift % gen.shift == 0 and gen ** (x.shift // gen.shift) == x
+    assert CentralizerClass(CYCLIC, gen).contains(x) == member
 
 
 def test_span_examples():
