@@ -65,6 +65,8 @@ class WreathElement:
         if not isinstance(other, WreathElement):
             return NotImplemented
         s = self.shift
+        # most products that analyze builds have an operand with an empty
+        # base (an identity or a pure shift); those need no merge
         if not other.base:
             return _trusted(self.base, s + other.shift)
         if not self.base:
@@ -246,10 +248,10 @@ class CentralizerClass:
         if gen.shift != 0:
             if x.shift % gen.shift:
                 return False
-            # x = gen^k with k = x.shift / gen.shift iff, as Laurent
-            # polynomials, x.base (1 - x^s) = gen.base (1 - x^(k s))
-            return (_base_difference(x.base, gen.shift)
-                    == _base_difference(gen.base, x.shift))
+            # C(gen) is infinite cyclic and embeds in Z through the shift,
+            # so its elements whose shift is a multiple of gen.shift are
+            # exactly the powers of gen
+            return gen.commutes_with(x)
         # shift-zero generator: powers are integer multiples of the base
         if x.shift != 0:
             return False
@@ -345,7 +347,7 @@ def classify_centralizer(elements: Iterable[WreathElement]) -> CentralizerClass:
         return CentralizerClass(CYCLIC, IDENTITY)
     head = shifted[0]
     for g in shifted[1:]:
-        if _base_difference(head.base, g.shift) != _base_difference(g.base, head.shift):
+        if not head.commutes_with(g):
             return CentralizerClass(CYCLIC, IDENTITY)
     # every g now lies in C(head), which is infinite cyclic (it embeds in Z
     # through the shift); a nonzero power of its generator has that same
