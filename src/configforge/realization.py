@@ -115,8 +115,8 @@ class RealizationCertificate:
                 raise ValueError(f"bad report entry: {entry!r}")
             mask = 0
             for e in entry["subset"]:
-                if not _is_int(e) or e < 1:
-                    raise ValueError(f"bad subset element: {e!r}")
+                if not _is_int(e) or not 1 <= e <= config.n:
+                    raise ValueError(f"subset element {e!r} out of range 1..{config.n}")
                 mask |= 1 << (e - 1)
             fg = entry.get("fg")
             comps_raw = entry.get("components")
@@ -210,6 +210,8 @@ def subset_checks(cert: RealizationCertificate, samples: int = 8,
     must match both the configuration and the recorded report, and sampled
     members of the intersection must pass membership in every constituent
     subgroup."""
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     _validate_certificate(cert)
     n = cert.config.n
     for mask in range(1, 1 << n):

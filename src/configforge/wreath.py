@@ -20,14 +20,17 @@ Two elements (w, s) and (v, t) commute exactly when
 
     v * (1 - x^s) = w * (1 - x^t)
 
-in that ring, which reduces every centralizer question asked here to exact
-polynomial division by 1 - x^t.
+in that ring.  A Laurent polynomial is a multiple of 1 - x^t exactly when
+its coefficients sum to zero along each residue class mod |t|, so every
+centralizer question asked here is answered by folding bases onto Z/|t|
+and summing along those classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from math import gcd
 from typing import Iterable, Optional, Union
 
 BasePairs = Iterable[tuple[int, int]]
@@ -270,57 +273,46 @@ def _base_difference(base: tuple[tuple[int, int], ...],
     return WreathElement(chain(base, ((i + offset, -c) for i, c in base))).base
 
 
-def _divide_one_minus(numerator: BasePairs, t: int) -> Optional[dict[int, int]]:
-    """Exact Laurent quotient numerator / (1 - x^t), or None if not divisible.
-
-    Requires t != 0.  Reduces to long division by the monic x^|t| - 1 after
-    normalising the lowest exponent to zero; monicity keeps the division
-    over Z exact, so only the remainder decides divisibility.
-    """
-    numerator = tuple(numerator)
-    if not numerator:
-        return {}
-    u = abs(t)
-    low = min(i for i, _ in numerator)
-    poly = {i - low: c for i, c in numerator}
-    quotient: dict[int, int] = {}
-    while poly:
-        e = max(poly)
-        if e < u:
-            return None
-        c = poly.pop(e)
-        quotient[e - u] = c
-        r = poly.get(e - u, 0) + c
-        if r:
-            poly[e - u] = r
-        else:
-            poly.pop(e - u, None)
-    if t > 0:
-        # 1 - x^t = -(x^u - 1)
-        return {i + low: -c for i, c in quotient.items()}
-    # 1 - x^t = x^-u (x^u - 1)
-    return {i + low + u: c for i, c in quotient.items()}
-
-
 def cyclic_centralizer_generator(h: WreathElement) -> WreathElement:
-    """Generator, with minimal positive shift, of the centralizer of ``h``.
+    """Generator, with least positive shift, of the centralizer of ``h``.
 
-    For h = (v, t) with t != 0 the projection of C(h) to the shift
-    coordinate is injective with image d.Z for the smallest positive
-    divisor d of |t| such that (1 - x^t) divides v (1 - x^d); the base of
-    the generator is the quotient.  d = |t| always works, so this
-    terminates.
+    For h = (v, t), t != 0, pass to H = (V, u), which is h if t > 0 and
+    h^-1 if t < 0: both have the same centralizer, and u = |t|.  (w, d)
+    commutes with H exactly when 1 - x^u divides V (1 - x^d), that is when
+    V folded onto Z/u has period d.  So d is the fold's least period.  A
+    period carries one folded residue r0 onto some r of the fold's
+    support, so the candidates are gcd(u, r - r0); r = r0 gives u, which
+    always qualifies, and an empty fold has period 1.  The base
+    w = V (1 - x^d) / (1 - x^u) is the running sum of D = V (1 - x^d)
+    along each residue class mod u: w(i) = sum_{j >= 0} D(i - j u).
     """
     if h.shift == 0:
         raise ValueError("element must have nonzero shift")
-    size = abs(h.shift)
-    for d in range(1, size + 1):
-        if size % d:
-            continue
-        quotient = _divide_one_minus(_base_difference(h.base, d), h.shift)
-        if quotient is not None:
-            return WreathElement(quotient, d)
-    raise AssertionError("unreachable: d = |shift| always divides")
+    if h.shift < 0:
+        h = h.inverse()
+    u = h.shift
+    fold: dict[int, int] = {}
+    for i, c in h.base:
+        fold[i % u] = fold.get(i % u, 0) + c
+    fold = {r: c for r, c in fold.items() if c}
+    d = 1
+    if fold:
+        r0 = next(iter(fold))
+        d = next(p for p in sorted({gcd(u, r - r0) for r in fold})
+                 if all(fold.get((r + p) % u) == c for r, c in fold.items()))
+    classes: dict[int, list[tuple[int, int]]] = {}
+    for i, c in _base_difference(h.base, d):
+        classes.setdefault(i % u, []).append((i, c))
+    pairs: list[tuple[int, int]] = []
+    for terms in classes.values():
+        total = 0
+        for (i, c), (stop, _) in zip(terms, terms[1:]):
+            total += c
+            if total:
+                pairs.extend((j, total) for j in range(i, stop, u))
+        if total + terms[-1][1]:
+            raise AssertionError("a residue class of V (1 - x^d) does not sum to zero")
+    return _trusted(tuple(sorted(pairs)), d)
 
 
 def classify_centralizer(elements: Iterable[WreathElement]) -> CentralizerClass:

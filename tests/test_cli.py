@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -155,6 +156,32 @@ def test_verify_bool_component_size_exits_2(tmp_path, capsys):
     component["size"] = True
     cert.write_text(json.dumps(data), encoding="utf-8")
     assert main(["verify", "--cert", str(cert)]) == 2
+
+
+def test_verify_subset_element_beyond_n_exits_2(howson_cert, tmp_path, capsys):
+    data = json.loads(howson_cert.read_text(encoding="utf-8"))
+    for element in (3, 10**12):
+        data["reports"][0]["subset"] = [element]
+        cert = write_json(tmp_path / "beyond.json", data)
+        assert main(["verify", "--cert", cert]) == 2
+        assert f"subset element {element}" in capsys.readouterr().err
+
+
+def test_verify_negative_samples_exits_2(howson_cert, capsys):
+    assert main(["verify", "--cert", str(howson_cert), "--samples", "-3"]) == 2
+    assert "verified" not in capsys.readouterr().out
+
+
+def test_analyze_self_loop_with_huge_shift(tmp_path, capsys):
+    for shift in (10**9, -10**9):
+        spec = {"m": 1, "edges": [{"src": 1, "dst": 1,
+                                   "conjugator": {"base": [[0, 1]], "shift": shift}}],
+                "pins": []}
+        path = write_json(tmp_path / "loop.json", spec)
+        start = time.perf_counter()
+        assert main(["analyze", "--spec", path]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert "component {1}: Cyclic, f.g." in capsys.readouterr().out
 
 
 def test_witness_default_candidates(howson_cert, capsys):

@@ -3,6 +3,7 @@ fixed-subgroup decomposition of permutational automorphisms."""
 
 import dataclasses
 import random
+import time
 
 import pytest
 
@@ -133,6 +134,8 @@ def test_verify_rejects_malformed_certificates():
         {k: v for k, v in cert.reports.items() if k != 2})
     with pytest.raises(ValueError):
         verify(missing)
+    with pytest.raises(ValueError, match="samples"):
+        verify(cert, samples=-3)
 
 
 def test_certificate_json_roundtrip():
@@ -153,6 +156,18 @@ def test_certificate_json_rejects_bool_component_size():
     component["size"] = True
     with pytest.raises(ValueError):
         RealizationCertificate.from_json(data)
+
+
+def test_certificate_json_rejects_subset_element_beyond_n():
+    data = realize(Configuration(2, [0b01])).to_json()
+    for element in (3, 10**12):
+        data["reports"][0]["subset"] = [element]
+        start = time.perf_counter()
+        # the element becomes a bit of the mask, so an unchecked 10**12
+        # would ask for a 125 GB integer
+        with pytest.raises(ValueError, match=str(element)):
+            RealizationCertificate.from_json(data)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_fixed_subgroup_identity_aut():

@@ -199,6 +199,16 @@ def test_classify_commuting_powers_is_centralizer_of_first():
             assert cls.generator == cyclic_centralizer_generator(g ** 2)
 
 
+def test_classify_huge_shift_is_instant():
+    for shift in (10**9, -10**9):
+        h = WreathElement({0: 1}, shift)
+        start = time.perf_counter()
+        cls = classify_centralizer([h])
+        assert time.perf_counter() - start < 1.0
+        assert cls.tag == CYCLIC
+        assert cls.generator == (h if shift > 0 else h.inverse())
+
+
 def test_cyclic_generator_rejects_zero_shift():
     with pytest.raises(ValueError):
         cyclic_centralizer_generator(delta(0))
@@ -307,6 +317,29 @@ def test_contains_matches_powers(gen, k, perturbation):
     x = gen ** k * perturbation
     member = x.shift % gen.shift == 0 and gen ** (x.shift // gen.shift) == x
     assert CentralizerClass(CYCLIC, gen).contains(x) == member
+
+
+# one window of indices per base, placed at 0 or +-10**12: terms far apart
+# relative to the shift can give a generator with that many terms, which
+# is output, not search, and too large to build here
+_windows = st.tuples(st.sampled_from([0, 10**12, -10**12]),
+                     st.lists(st.tuples(st.integers(-6, 6), st.integers(-3, 3)), max_size=4))
+_roots = st.builds(
+    WreathElement, _windows.map(lambda w: [(w[0] + i, c) for i, c in w[1]]),
+    st.one_of(st.integers(1, 4), st.integers(-4, -1),
+              st.integers(10**9 - 2, 10**9), st.integers(-10**9, -10**9 + 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_roots, st.sampled_from([k for k in range(-6, 7) if k]))
+def test_cyclic_generator_of_power(g, k):
+    h = g ** k
+    gen = cyclic_centralizer_generator(h)
+    assert gen.shift > 0 and abs(h.shift) % gen.shift == 0
+    assert gen.commutes_with(h)
+    centralizer = CentralizerClass(CYCLIC, gen)
+    assert centralizer.contains(h)
+    assert centralizer.contains(g)  # g lies in C(h) = <gen>
 
 
 def test_span_examples():
