@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .configuration import Configuration, mask_elements
+from .configuration import Configuration, mask_elements, subset_mask
 from .subgroups import Edge, SubgroupSpec, _fill_component, analyze, sample
 from .wreath import IDENTITY, IDENTITY_AUT, ConjugationAut, WreathElement, _is_int, delta
 
@@ -113,11 +113,7 @@ class RealizationCertificate:
         for entry in reports_raw:
             if not isinstance(entry, dict) or not isinstance(entry.get("subset"), list):
                 raise ValueError(f"bad report entry: {entry!r}")
-            mask = 0
-            for e in entry["subset"]:
-                if not _is_int(e) or not 1 <= e <= config.n:
-                    raise ValueError(f"subset element {e!r} out of range 1..{config.n}")
-                mask |= 1 << (e - 1)
+            mask = subset_mask(entry["subset"], config.n)
             fg = entry.get("fg")
             comps_raw = entry.get("components")
             if not isinstance(fg, bool) or not isinstance(comps_raw, list):
