@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import random
-from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -32,6 +31,7 @@ from .wreath import (
     ConjugationAut,
     WreathElement,
     _is_int,
+    _trusted,
     classify_centralizer,
     delta,
     in_free_abelian_span,
@@ -71,7 +71,7 @@ class SubgroupSpec:
     first occurrence in its stored orientation.
     """
 
-    __slots__ = ("m", "edges", "pins")
+    __slots__ = ("m", "edges", "pins", "_hash")
 
     def __init__(self, m: int, edges: Iterable[Edge] = (), pins: Iterable[int] = ()):
         if not _is_int(m) or m < 1:
@@ -96,6 +96,8 @@ class SubgroupSpec:
         self.m = m
         self.edges: tuple[Edge, ...] = tuple(deduped)
         self.pins = frozenset(pins)
+        # analyze's cache hashes its argument on every lookup
+        self._hash = hash((m, self.edges, self.pins))
 
     @classmethod
     def free(cls, m: int) -> "SubgroupSpec":
@@ -118,7 +120,8 @@ class SubgroupSpec:
         if len(values) != self.m:
             raise ValueError(f"tuple length {len(values)} != ambient power {self.m}")
         for i in self.pins:
-            if not values[i - 1].is_identity:
+            v = values[i - 1]
+            if v.base or v.shift:
                 return False
         for edge in self.edges:
             if values[edge.dst - 1] != edge.label(values[edge.src - 1]):
@@ -132,7 +135,7 @@ class SubgroupSpec:
                 and self.pins == other.pins)
 
     def __hash__(self) -> int:
-        return hash((self.m, self.edges, self.pins))
+        return self._hash
 
     def __repr__(self) -> str:
         return (f"SubgroupSpec(m={self.m}, edges={len(self.edges)}, "
@@ -173,9 +176,11 @@ class ComponentReport(NamedTuple):
 
     ``tree_auts`` maps each node to the automorphism expressing its
     coordinate in terms of the root value; ``holonomy`` lists one
-    conjugator per independent cycle, expressed at the root.  Reports are
-    cached by ``analyze``, so they are immutable: ``tree_auts`` is a
-    read-only mapping.
+    conjugator per independent cycle, expressed at the root.  A Trivial
+    report carries neither: its ``tree_auts`` is empty and its ``holonomy``
+    is ``()``, since every coordinate of a pinned component is the
+    identity.  Reports are cached by ``analyze``, so they are immutable:
+    ``tree_auts`` is a read-only mapping.
     """
 
     nodes: frozenset[int]
@@ -191,6 +196,9 @@ class ComponentReport(NamedTuple):
         return len(self.nodes)
 
 
+_NO_AUTS: Mapping[int, ConjugationAut] = MappingProxyType({})
+
+
 @functools.lru_cache(maxsize=8192)
 def analyze(spec: SubgroupSpec) -> tuple[ComponentReport, ...]:
     """Connected components, spanning trees, holonomies, classifications.
@@ -199,9 +207,10 @@ def analyze(spec: SubgroupSpec) -> tuple[ComponentReport, ...]:
     ascending root order; the breadth-first tree visits neighbours in
     ascending index (ties by edge input order) and the remaining edges
     contribute holonomy conjugators in input order.  A pinned component is
-    Trivial; otherwise its class is that of the joint centralizer of the
-    holonomies: FullFactor (a free copy of G), Cyclic, or BaseNotFG (not
-    finitely generated).
+    Trivial, and it is recognised from its node set alone, before any
+    automorphism is built; otherwise its class is that of the joint
+    centralizer of the holonomies: FullFactor (a free copy of G), Cyclic,
+    or BaseNotFG (not finitely generated).
     """
     adjacency: dict[int, list[tuple[int, int, bool]]] = {
         i: [] for i in range(1, spec.m + 1)
@@ -218,42 +227,40 @@ def analyze(spec: SubgroupSpec) -> tuple[ComponentReport, ...]:
     for root in range(1, spec.m + 1):
         if root in visited:
             continue
-        auts: dict[int, ConjugationAut] = {root: IDENTITY_AUT}
-        met_edges: set[int] = set()
-        tree_edges: set[int] = set()
-        queue = deque([root])
         visited.add(root)
-        while queue:
-            u = queue.popleft()
+        order = [root]  # breadth-first: the loop reads what it appends
+        tree: list[tuple[int, int, int, bool]] = []  # (parent, child, edge, forward)
+        met_edges: set[int] = set()
+        for u in order:
             for v, k, forward in adjacency[u]:
                 met_edges.add(k)
-                if v in visited:
-                    continue
-                visited.add(v)
-                h = spec.edges[k].label.conjugator
-                auts[v] = ConjugationAut((h if forward else h.inverse()) * auts[u].conjugator)
-                tree_edges.add(k)
-                queue.append(v)
-        nodes = frozenset(auts)
+                if v not in visited:
+                    visited.add(v)
+                    order.append(v)
+                    tree.append((u, v, k, forward))
+        nodes = frozenset(order)
+        if not nodes.isdisjoint(spec.pins):
+            reports.append(ComponentReport(nodes, root, _NO_AUTS, (), TRIVIAL, None, True))
+            continue
+        auts: dict[int, ConjugationAut] = {root: IDENTITY_AUT}
+        for u, v, k, forward in tree:
+            h = spec.edges[k].label.conjugator
+            auts[v] = ConjugationAut((h if forward else h.inverse()) * auts[u].conjugator)
+        met_edges.difference_update(k for _, _, k, _ in tree)
         holonomy = []
-        for k in sorted(met_edges - tree_edges):
+        for k in sorted(met_edges):
             e = spec.edges[k]
             holonomy.append(auts[e.dst].conjugator.inverse() * e.label.conjugator
                             * auts[e.src].conjugator)
-        if nodes & spec.pins:
-            classification, generator = TRIVIAL, None
-        else:
-            cclass = classify_centralizer(holonomy)
-            classification = cclass.tag
-            generator = cclass.generator
+        cclass = classify_centralizer(holonomy)
         reports.append(ComponentReport(
             nodes=nodes,
             root=root,
             tree_auts=MappingProxyType(auts),
             holonomy=tuple(holonomy),
-            classification=classification,
-            generator=generator,
-            fg=classification != BASE_NOT_FG,
+            classification=cclass.tag,
+            generator=cclass.generator,
+            fg=cclass.tag != BASE_NOT_FG,
         ))
     return tuple(reports)
 
@@ -269,34 +276,38 @@ def _fill_component(values: list[WreathElement], report: ComponentReport,
         values[node - 1] = report.tree_auts[node](root_value)
 
 
-def _random_base(rng: random.Random, bound: int) -> dict[int, int]:
-    return {i: rng.randint(-bound, bound) for i in range(-bound, bound + 1)}
+def _random_base(rng: random.Random, bound: int) -> tuple[tuple[int, int], ...]:
+    """Canonical base with one coefficient drawn per index -bound..bound."""
+    draws = [(i, rng.randint(-bound, bound)) for i in range(-bound, bound + 1)]
+    return tuple([pair for pair in draws if pair[1]])
 
 
 def _draw_root(rng: random.Random, report: ComponentReport, bound: int) -> WreathElement:
-    if report.classification == TRIVIAL:
-        return IDENTITY
+    """Root value of a component that is not Trivial."""
     if report.classification == FULL_FACTOR:
         shift = rng.randint(-bound, bound)
-        return WreathElement(_random_base(rng, bound), shift)
+        return _trusted(_random_base(rng, bound), shift)
     if report.classification == CYCLIC:
         return report.generator ** rng.randint(-bound, bound)
-    return WreathElement(_random_base(rng, bound), 0)  # BaseNotFG: any base element
+    return _trusted(_random_base(rng, bound), 0)  # BaseNotFG: any base element
 
 
 def sample(spec: SubgroupSpec, seed: int = 0, size_bound: int = 2) -> tuple[WreathElement, ...]:
     """Deterministic pseudo-random member of the subgroup.
 
     Draws one root value per component inside the component's solution
-    set, then propagates it along the spanning tree.  size_bound 0 yields
-    the identity tuple.
+    set, then propagates it along the spanning tree.  Trivial components
+    consume no draws and keep their coordinates at the identity, so the
+    pseudo-random stream depends only on the other components.  size_bound
+    0 yields the identity tuple.
     """
     if size_bound < 0:
         raise ValueError("size_bound must be nonnegative")
     rng = random.Random(seed)
     values = [IDENTITY] * spec.m
     for report in analyze(spec):
-        _fill_component(values, report, _draw_root(rng, report, size_bound))
+        if report.classification != TRIVIAL:
+            _fill_component(values, report, _draw_root(rng, report, size_bound))
     return tuple(values)
 
 

@@ -2,12 +2,16 @@
 fixed-subgroup decomposition of permutational automorphisms."""
 
 import dataclasses
+import hashlib
+import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
 import oracles
+from configforge import cli, realization
 from configforge import (
     BASE_NOT_FG,
     FULL_FACTOR,
@@ -30,8 +34,22 @@ from configforge import (
     realize,
     realize_atom,
     sample,
+    subset_checks,
     verify,
 )
+
+# sha256 of the certificate files ``configforge realize`` writes for the
+# full configurations, as recorded in bench/reference.json
+FULL_CERT_SHA256 = {
+    5: "708f18d22f40a4878ff5c31010d3d44adb47ddb5bde2e011d2abda92c4bd7297",
+    6: "37299ca243d0ba04cb9858ba7c1a4a742125f6f2ca5448998a6b8aa2d28efa76",
+}
+# leading 8 bytes of the sha256 of every n = 4 certificate, indexed by
+# the configuration's 15-bit value table
+DIGESTS_N4 = Path(__file__).resolve().parents[1] / "bench" / "digests_n4.bin"
+# sha256 of the members sampled below: ``verify --seed S`` tests exactly
+# such members, so changing them is a change of the CLI contract
+SAMPLE_STREAM_SHA256 = "4d682b38c69e5a56f331a5eed314d8afa0a434779d2eb6700ea9228267ce719a"
 
 
 def subset_verdicts(specs, n):
@@ -136,6 +154,49 @@ def test_verify_rejects_malformed_certificates():
         verify(missing)
     with pytest.raises(ValueError, match="samples"):
         verify(cert, samples=-3)
+
+
+def test_verify_checks_samples_against_constituents(monkeypatch):
+    cert = realize(Configuration(3, range(1, 8)))
+    target = 0b101
+    target_spec = intersection_spec(cert.specs, target)
+    original = realization.sample
+
+    def tampered(spec, seed=0, size_bound=2):
+        value = list(original(spec, seed=seed, size_bound=size_bound))
+        if spec == target_spec:
+            value[min(spec.pins) - 1] = delta(0)
+        return tuple(value)
+
+    monkeypatch.setattr(realization, "sample", tampered)
+    assert dict(subset_checks(cert)) == {mask: mask != target for mask in range(1, 8)}
+    assert not verify(cert)
+
+
+def test_full_certificate_bytes_match_recorded_digests(tmp_path):
+    path = tmp_path / "cert.json"
+    for n, digest in FULL_CERT_SHA256.items():
+        cli._dump_json(realize(Configuration(n, range(1, 1 << n))).to_json(), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, f"n = {n}"
+
+
+def test_n4_certificate_bytes_match_recorded_digests(tmp_path):
+    table = DIGESTS_N4.read_bytes()
+    path = tmp_path / "cert.json"
+    for code in range(0, 1 << 15, 128):
+        config = Configuration(4, [m for m in range(1, 16) if code >> (m - 1) & 1])
+        cli._dump_json(realize(config).to_json(), str(path))
+        assert hashlib.sha256(path.read_bytes()).digest()[:8] == table[8 * code:8 * code + 8], \
+            f"n = 4 code {code}"
+
+
+def test_sampled_member_stream_is_unchanged():
+    cert = realize(Configuration(6, range(1, 64)))
+    digest = hashlib.sha256()
+    for seed, mask in enumerate((63, 1, 21, 42)):
+        value = sample(intersection_spec(cert.specs, mask), seed=seed)
+        digest.update(json.dumps([x.to_json() for x in value]).encode())
+    assert digest.hexdigest() == SAMPLE_STREAM_SHA256
 
 
 def test_certificate_json_roundtrip():

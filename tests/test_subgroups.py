@@ -165,6 +165,23 @@ def test_analyze_pinned_node_wins_over_holonomy():
     assert [r.classification for r in reports] == [TRIVIAL]
 
 
+def test_pinned_component_carries_no_automorphisms_and_stays_identity():
+    # coordinates 1-2 form a twisted cycle pinned at 2; 3-4 are unpinned
+    spec = SubgroupSpec(4, [Edge(1, 2, TWIST_AUT), Edge(2, 1, IDENTITY_AUT),
+                            Edge(3, 4, TWIST_AUT)], [2])
+    pinned, free = analyze(spec)
+    assert (pinned.nodes, pinned.classification) == (frozenset({1, 2}), TRIVIAL)
+    assert dict(pinned.tree_auts) == {}
+    assert pinned.holonomy == ()
+    assert pinned.generator is None and pinned.fg is True
+    assert set(free.tree_auts) == {3, 4}
+    for seed in range(5):
+        value = sample(spec, seed=seed)
+        assert value[:2] == (IDENTITY, IDENTITY)
+        assert not value[2].is_identity
+        assert spec.member(value)
+
+
 def test_dedup_duplicate_edges():
     e = Edge(1, 2, TWIST_AUT)
     spec = SubgroupSpec(2, [e, e])
