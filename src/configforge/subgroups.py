@@ -137,6 +137,10 @@ class SubgroupSpec:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # rebuild on unpickling: the cached hash holds for this process only
+        return SubgroupSpec, (self.m, self.edges, self.pins)
+
     def __repr__(self) -> str:
         return (f"SubgroupSpec(m={self.m}, edges={len(self.edges)}, "
                 f"pins={sorted(self.pins)})")

@@ -2,6 +2,7 @@
 and non-finite-generation witnesses."""
 
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -344,6 +345,26 @@ def test_nonfg_witness_soundness_checks_run_under_optimize():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_spec_unpickled_from_another_process_hashes_like_a_fresh_one():
+    # string hashes differ between processes, so a spec's cached hash must
+    # not travel with it
+    package_root = os.path.dirname(os.path.dirname(configforge.__file__))
+    env = dict(os.environ, PYTHONHASHSEED="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    script = ("import pickle, sys\n"
+              "from configforge import Edge, SubgroupSpec, TWIST_AUT\n"
+              "spec = SubgroupSpec(2, [Edge(1, 2, TWIST_AUT)], [2])\n"
+              "sys.stdout.buffer.write(pickle.dumps(spec))\n")
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    spec = pickle.loads(result.stdout)
+    fresh = SubgroupSpec(2, [Edge(1, 2, TWIST_AUT)], [2])
+    assert spec == fresh and hash(spec) == hash(fresh)
+    assert analyze(spec) is analyze(fresh)
 
 
 def test_analyzer_matches_naive_oracle_small():
