@@ -200,6 +200,17 @@ def _validate_certificate(cert: RealizationCertificate) -> None:
         raise ValueError("certificate reports do not cover exactly the nonempty subsets")
 
 
+def _report_fits(spec: SubgroupSpec, report: SubsetReport) -> bool:
+    """Whether the recorded components can partition the coordinates of
+    ``spec``: checked in the edges and pins, without walking 1..m."""
+    named = set(spec.pins)
+    for edge in spec.edges:
+        named.add(edge.src)
+        named.add(edge.dst)
+    return (sum(size for size, _ in report.components) == spec.m
+            and len(report.components) >= spec.m - len(named))
+
+
 def subset_checks(cert: RealizationCertificate, samples: int = 8,
                   seed: int = 0) -> Iterable[tuple[int, bool]]:
     """Yield (mask, ok) per subset: the analysis recomputed from the specs
@@ -210,6 +221,14 @@ def subset_checks(cert: RealizationCertificate, samples: int = 8,
     Membership is tested once, against the constituents: the intersection
     spec's edges and pins are exactly theirs, deduplicated, so a tuple
     that every constituent accepts is a member of the intersection too.
+
+    Each recorded report is first checked against the intersection's
+    edges and pins alone: its component sizes must sum to the ambient
+    power, and it must list at least one component per coordinate that no
+    edge or pin names, since each such coordinate is a component of its
+    own.  A report that fails this is a mismatch without any analysis or
+    sampling, so a certificate naming a huge ``ambient_m`` costs time in
+    its edges, pins and reports, not in ``ambient_m``.
     """
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
@@ -217,8 +236,11 @@ def subset_checks(cert: RealizationCertificate, samples: int = 8,
     n = cert.config.n
     for mask in range(1, 1 << n):
         spec = intersection_spec(cert.specs, mask)
-        recomputed = _subset_analysis(spec, mask)
         recorded = cert.reports[mask]
+        if not _report_fits(spec, recorded):
+            yield mask, False
+            continue
+        recomputed = _subset_analysis(spec, mask)
         ok = (recomputed.fg == (cert.config.value(mask) == 0)
               and recomputed.fg == recorded.fg
               and recomputed.components == recorded.components)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -63,6 +64,16 @@ def _constraint_key(edge: Edge) -> tuple:
     return (edge.dst, edge.src, inv.shift, inv.base)
 
 
+def _getter(indices: Sequence[int]):
+    """``itemgetter(*indices)``, returning a tuple also for 0 or 1 index."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        index = indices[0]
+        return lambda values: (values[index],)
+    return lambda values: ()
+
+
 class SubgroupSpec:
     """Immutable constraint subgroup of G^m.
 
@@ -71,7 +82,7 @@ class SubgroupSpec:
     first occurrence in its stored orientation.
     """
 
-    __slots__ = ("m", "edges", "pins", "_hash")
+    __slots__ = ("m", "edges", "pins", "_hash", "_plan")
 
     def __init__(self, m: int, edges: Iterable[Edge] = (), pins: Iterable[int] = ()):
         if not _is_int(m) or m < 1:
@@ -98,6 +109,7 @@ class SubgroupSpec:
         self.pins = frozenset(pins)
         # analyze's cache hashes its argument on every lookup
         self._hash = hash((m, self.edges, self.pins))
+        self._plan = None  # member's compiled checks, built on first use
 
     @classmethod
     def free(cls, m: int) -> "SubgroupSpec":
@@ -116,17 +128,39 @@ class SubgroupSpec:
         return SubgroupSpec(self.m, self.edges + other.edges, self.pins | other.pins)
 
     def member(self, values: Sequence[WreathElement]) -> bool:
-        """Exact membership of a coordinate tuple."""
+        """Exact membership of a coordinate tuple.
+
+        Every pin must hold the identity and every edge g_dst = phi(g_src).
+        The pinned coordinates are gathered in one ``itemgetter`` call and
+        compared with a tuple of ``IDENTITY``; an identity-labelled edge
+        maps g_src to itself, so those edges compare the gathered sources
+        with the gathered destinations.  Tuple equality compares item by
+        item with ``==`` after an identity short-cut, which is
+        ``WreathElement.__eq__`` on any two elements, so the verdict is that
+        of testing each pin and edge in turn.  Only edges with a nontrivial
+        label are tested one by one.  The getters are built on first use.
+        """
         if len(values) != self.m:
             raise ValueError(f"tuple length {len(values)} != ambient power {self.m}")
-        for i in self.pins:
-            v = values[i - 1]
-            if v.base or v.shift:
-                return False
-        for edge in self.edges:
-            if values[edge.dst - 1] != edge.label(values[edge.src - 1]):
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = self._member_plan()
+        pinned, identities, sources, targets, twisted = plan
+        if pinned(values) != identities or sources(values) != targets(values):
+            return False
+        for src, dst, label in twisted:
+            x, y = values[dst], label(values[src])
+            if not (x is y or x == y):
                 return False
         return True
+
+    def _member_plan(self) -> tuple:
+        pins = sorted(p - 1 for p in self.pins)
+        plain = [e for e in self.edges if e.label.is_identity]
+        return (_getter(pins), (IDENTITY,) * len(pins),
+                _getter([e.src - 1 for e in plain]), _getter([e.dst - 1 for e in plain]),
+                tuple((e.src - 1, e.dst - 1, e.label)
+                      for e in self.edges if not e.label.is_identity))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SubgroupSpec):
@@ -280,38 +314,82 @@ def _fill_component(values: list[WreathElement], report: ComponentReport,
         values[node - 1] = report.tree_auts[node](root_value)
 
 
-def _random_base(rng: random.Random, bound: int) -> tuple[tuple[int, int], ...]:
-    """Canonical base with one coefficient drawn per index -bound..bound."""
-    draws = [(i, rng.randint(-bound, bound)) for i in range(-bound, bound + 1)]
-    return tuple([pair for pair in draws if pair[1]])
+# sample draws every value from randint(-b, b) with b = size_bound; the
+# byte table below reproduces that stream for b up to 127
+_MAX_SIZE_BOUND = 127
 
 
-def _draw_root(rng: random.Random, report: ComponentReport, bound: int) -> WreathElement:
-    """Root value of a component that is not Trivial."""
-    if report.classification == FULL_FACTOR:
-        shift = rng.randint(-bound, bound)
-        return _trusted(_random_base(rng, bound), shift)
-    if report.classification == CYCLIC:
-        return report.generator ** rng.randint(-bound, bound)
-    return _trusted(_random_base(rng, bound), 0)  # BaseNotFG: any base element
+@functools.lru_cache(maxsize=_MAX_SIZE_BOUND + 1)
+def _acceptance_table(bound: int) -> bytes:
+    """Top byte of a 32-bit Mersenne Twister word -> draw + bound, or 0xff
+    where ``randint(-bound, bound)`` rejects the word and draws again."""
+    width = 2 * bound + 1
+    drop = 8 - width.bit_length()
+    return bytes([top >> drop if top >> drop < width else 0xFF for top in range(256)])
+
+
+def _draws(rng: random.Random, count: int, bound: int) -> bytes:
+    """The next ``count`` values of ``rng.randint(-bound, bound)``, each
+    plus ``bound``; may consume words of ``rng`` beyond the last one used."""
+    table = _acceptance_table(bound)
+    accepted = b""
+    while len(accepted) < count:
+        words = 2 * (count - len(accepted)) + 8  # at least half are accepted
+        raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        accepted += raw[3::4].translate(table).replace(b"\xff", b"")
+    return accepted[:count]
 
 
 def sample(spec: SubgroupSpec, seed: int = 0, size_bound: int = 2) -> tuple[WreathElement, ...]:
     """Deterministic pseudo-random member of the subgroup.
 
     Draws one root value per component inside the component's solution
-    set, then propagates it along the spanning tree.  Trivial components
-    consume no draws and keep their coordinates at the identity, so the
-    pseudo-random stream depends only on the other components.  size_bound
-    0 yields the identity tuple.
+    set, then propagates it along the spanning tree.  With b = size_bound,
+    a FullFactor root takes a shift and then one coefficient per index
+    -b..b, a BaseNotFG root the coefficients only (shift 0), and a Cyclic
+    root the generator to one drawn power; each value is one
+    ``randint(-b, b)`` of ``random.Random(seed)``, in component order.
+    Trivial components draw nothing and keep their coordinates at the
+    identity.  size_bound 0 yields the identity tuple.
+
+    The draws are taken in one batch with the same stream.  CPython's
+    ``randint(-b, b)`` returns -b + r, where r is ``getrandbits(k)`` for
+    k = (2b+1).bit_length(), redrawn while r >= 2b+1; for k <= 32 that is
+    the top k bits of one 32-bit Mersenne Twister word.
+    ``getrandbits(32 w)`` returns the next w words, least significant
+    first, so byte 4i+3 of its little-endian bytes is the top byte of word
+    i.  A 256-entry table maps that byte to r or marks it rejected, which
+    needs k <= 8: size_bound must lie in 0..127.  The generator is local,
+    so words drawn past the last needed one change nothing.
     """
     if size_bound < 0:
         raise ValueError("size_bound must be nonnegative")
-    rng = random.Random(seed)
+    if size_bound > _MAX_SIZE_BOUND:
+        raise ValueError(f"size_bound must be at most {_MAX_SIZE_BOUND}")
+    reports = [r for r in analyze(spec) if r.classification != TRIVIAL]
+    b = size_bound
+    width = 2 * b + 1
+    count = sum(1 if r.classification == CYCLIC
+                else width + (r.classification == FULL_FACTOR) for r in reports)
+    draws = _draws(random.Random(seed), count, b)
+    indices = range(-b, b + 1)
     values = [IDENTITY] * spec.m
-    for report in analyze(spec):
-        if report.classification != TRIVIAL:
-            _fill_component(values, report, _draw_root(rng, report, size_bound))
+    pos = 0
+    for report in reports:
+        if report.classification == CYCLIC:
+            root = report.generator ** (draws[pos] - b)
+            pos += 1
+        else:
+            shift = 0
+            if report.classification == FULL_FACTOR:
+                shift = draws[pos] - b
+                pos += 1
+            coeffs = draws[pos:pos + width]
+            pos += width
+            # canonical: ascending indices, zero coefficients (byte b) dropped
+            root = _trusted(tuple([(i, c - b) for i, c in zip(indices, coeffs) if c != b]),
+                            shift)
+        _fill_component(values, report, root)
     return tuple(values)
 
 

@@ -172,6 +172,21 @@ def test_verify_negative_samples_exits_2(howson_cert, capsys):
     assert "verified" not in capsys.readouterr().out
 
 
+def test_verify_huge_ambient_exits_1_fast(tmp_path, capsys):
+    # a free spec claimed to be one component: every coordinate of it is a
+    # component of its own, so the report is refuted without walking them
+    m = 10**12
+    cert = {"config": {"n": 1, "ones": []}, "ambient_m": m,
+            "specs": [{"m": m, "edges": [], "pins": []}],
+            "reports": [{"subset": [1], "fg": True,
+                         "components": [{"size": m, "class": "FullFactor"}]}]}
+    path = write_json(tmp_path / "huge.json", cert)
+    start = time.perf_counter()
+    assert main(["verify", "--cert", path]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "mismatch at {1}" in capsys.readouterr().out
+
+
 def test_analyze_self_loop_with_huge_shift(tmp_path, capsys):
     for shift in (10**9, -10**9):
         spec = {"m": 1, "edges": [{"src": 1, "dst": 1,

@@ -14,6 +14,7 @@ import oracles
 from configforge import cli, realization
 from configforge import (
     BASE_NOT_FG,
+    CYCLIC,
     FULL_FACTOR,
     IDENTITY,
     IDENTITY_AUT,
@@ -50,6 +51,9 @@ DIGESTS_N4 = Path(__file__).resolve().parents[1] / "bench" / "digests_n4.bin"
 # sha256 of the members sampled below: ``verify --seed S`` tests exactly
 # such members, so changing them is a change of the CLI contract
 SAMPLE_STREAM_SHA256 = "4d682b38c69e5a56f331a5eed314d8afa0a434779d2eb6700ea9228267ce719a"
+# the same for the fixed subgroup below, whose orbits are Cyclic,
+# BaseNotFG and FullFactor, sampled at several size bounds
+FIXED_SAMPLE_STREAM_SHA256 = "877d8c9888b3479e524e7f6032b3785d6baa87a1e4ade425a6e84346aa55c4f5"
 
 
 def subset_verdicts(specs, n):
@@ -197,6 +201,45 @@ def test_sampled_member_stream_is_unchanged():
         value = sample(intersection_spec(cert.specs, mask), seed=seed)
         digest.update(json.dumps([x.to_json() for x in value]).encode())
     assert digest.hexdigest() == SAMPLE_STREAM_SHA256
+
+
+def test_sampled_fixed_point_stream_is_unchanged():
+    aut = PermutationalAut(
+        [2, 1, 4, 5, 3, 6, 8, 7],
+        [ConjugationAut(WreathElement({0: 1}, 1)), IDENTITY_AUT,
+         ConjugationAut(delta(1)), IDENTITY_AUT, ConjugationAut(delta(-1, 2)),
+         IDENTITY_AUT,
+         ConjugationAut(WreathElement({1: 2, 3: -1}, -2)), IDENTITY_AUT])
+    _, spec = fixed_subgroup(aut)
+    assert [r.classification for r in analyze(spec)] == [
+        CYCLIC, BASE_NOT_FG, FULL_FACTOR, CYCLIC]
+    digest = hashlib.sha256()
+    for bound in (0, 1, 2, 5):
+        for seed in (0, 1, 7):
+            value = sample(spec, seed=seed, size_bound=bound)
+            assert spec.member(value) and aut.apply(value) == value
+            digest.update(json.dumps([x.to_json() for x in value]).encode())
+    assert digest.hexdigest() == FIXED_SAMPLE_STREAM_SHA256
+
+
+def test_report_that_cannot_partition_fails_before_analysis(monkeypatch):
+    # subgroup 1 is a self-loop at coordinate 1 and leaves 2 and 3 free;
+    # subgroup 2 is fully pinned
+    cert = realize(Configuration(3, [0b001]))
+    seen = []  # masks analysed or sampled; verify's sample seeds are mask * 1009 + i
+    analysis, draw = realization._subset_analysis, realization.sample
+    monkeypatch.setattr(realization, "_subset_analysis",
+                        lambda spec, mask: seen.append(mask) or analysis(spec, mask))
+    monkeypatch.setattr(realization, "sample", lambda spec, seed, size_bound:
+                        seen.append(seed // 1009) or draw(spec, seed, size_bound))
+    for mask, forged in ((0b001, ((3, FULL_FACTOR),)),  # one component, two free coordinates
+                         (0b010, ((1, TRIVIAL),) * 2 + ((2, TRIVIAL),))):  # sizes sum to 4
+        reports = {**cert.reports, mask: dataclasses.replace(cert.reports[mask], components=forged)}
+        seen.clear()
+        checks = dict(subset_checks(RealizationCertificate(
+            cert.config, cert.ambient_m, cert.specs, reports)))
+        assert checks == {m: m != mask for m in range(1, 8)}
+        assert mask not in seen and len(set(seen)) == 6
 
 
 def test_certificate_json_roundtrip():

@@ -8,13 +8,17 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import configforge
 import oracles
+from configforge import subgroups
 from configforge import (
     BASE_NOT_FG,
     FULL_FACTOR,
     IDENTITY,
+    ConjugationAut,
     IDENTITY_AUT,
     TRIVIAL,
     TWIST_AUT,
@@ -267,6 +271,84 @@ def test_perturbed_samples_are_rejected():
         value[index] = value[index] * delta(7)
         assert not spec.member(tuple(value))
         checked += 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**64), st.integers(0, 127), st.integers(0, 3000))
+def test_batched_draws_equal_randint_stream(seed, bound, count):
+    rng = random.Random(seed)
+    expected = [rng.randint(-bound, bound) for _ in range(count)]
+    draws = subgroups._draws(random.Random(seed), count, bound)
+    assert [d - bound for d in draws] == expected
+
+
+def test_sample_size_bound_limits():
+    spec = chain_twist_spec(3)
+    assert spec.member(sample(spec, seed=1, size_bound=127))
+    for bound in (128, -1):
+        with pytest.raises(ValueError, match="size_bound"):
+            sample(spec, seed=1, size_bound=bound)
+
+
+def reference_member(spec, values):
+    """Membership as one loop over the pins and one over the edges."""
+    if len(values) != spec.m:
+        raise ValueError("length")
+    for i in spec.pins:
+        v = values[i - 1]
+        if v.base or v.shift:
+            return False
+    for edge in spec.edges:
+        if values[edge.dst - 1] != edge.label(values[edge.src - 1]):
+            return False
+    return True
+
+
+# elements equal to each other but not the same object, several of them
+# equal to the identity, and labels both identity and twisted
+_POOL = (IDENTITY, WreathElement(), delta(0), delta(1), delta(0, -1),
+         WreathElement({}, 1), WreathElement({0: 1}, 1))
+_LABELS = (IDENTITY_AUT, ConjugationAut(WreathElement()), TWIST_AUT,
+           ConjugationAut(WreathElement({}, 1)), ConjugationAut(WreathElement({0: 1}, 1)))
+
+
+def _copy(x):
+    return WreathElement(x.base, x.shift)
+
+
+@st.composite
+def spec_and_values(draw):
+    m = draw(st.integers(1, 5))
+    coord = st.integers(1, m)
+    edges = draw(st.lists(st.tuples(coord, coord, st.sampled_from(_LABELS)), max_size=4))
+    pins = draw(st.lists(coord, max_size=2))
+    spec = SubgroupSpec(m, [Edge(*e) for e in edges], pins)
+    if draw(st.booleans()):
+        values = list(sample(spec, seed=draw(st.integers(0, 99)), size_bound=1))
+    else:
+        values = [draw(st.sampled_from(_POOL)) for _ in range(m)]
+    copies = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    values = [_copy(x) if c else x for x, c in zip(values, copies)]
+    return spec, values if draw(st.booleans()) else tuple(values)
+
+
+@settings(max_examples=400, deadline=None)
+@given(spec_and_values())
+def test_member_matches_reference_loop(case):
+    spec, values = case
+    assert spec.member(values) == reference_member(spec, values)
+
+
+def test_member_single_pin_and_single_edge():
+    pinned = SubgroupSpec(2, (), [2])
+    assert pinned.member((delta(3), WreathElement()))
+    assert pinned.member([delta(3), _copy(IDENTITY)])
+    assert not pinned.member((IDENTITY, delta(0)))
+    loop = SubgroupSpec(1, [Edge(1, 1, TWIST_AUT)])
+    assert loop.member((delta(5),)) and not loop.member((WreathElement({}, 1),))
+    equal = SubgroupSpec(2, [Edge(2, 1, IDENTITY_AUT)])
+    assert equal.member((delta(1), _copy(delta(1))))
+    assert not equal.member([delta(1), delta(0)])
 
 
 def test_root_projection_is_bijective_on_full_factor_spec():
