@@ -227,8 +227,9 @@ def subset_checks(cert: RealizationCertificate, samples: int = 8,
     power, and it must list at least one component per coordinate that no
     edge or pin names, since each such coordinate is a component of its
     own.  A report that fails this is a mismatch without any analysis or
-    sampling, so a certificate naming a huge ``ambient_m`` costs time in
-    its edges, pins and reports, not in ``ambient_m``.
+    sampling.  One that passes bounds ``ambient_m`` by its component count
+    plus the named coordinates, so the analysis costs time in the size of
+    the certificate, however large the ``ambient_m`` it names.
     """
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")

@@ -369,9 +369,8 @@ def sample(spec: SubgroupSpec, seed: int = 0, size_bound: int = 2) -> tuple[Wrea
     reports = [r for r in analyze(spec) if r.classification != TRIVIAL]
     b = size_bound
     width = 2 * b + 1
-    count = sum(1 if r.classification == CYCLIC
-                else width + (r.classification == FULL_FACTOR) for r in reports)
-    draws = _draws(random.Random(seed), count, b)
+    per_root = {FULL_FACTOR: width + 1, BASE_NOT_FG: width, CYCLIC: 1}
+    draws = _draws(random.Random(seed), sum(per_root[r.classification] for r in reports), b)
     indices = range(-b, b + 1)
     values = [IDENTITY] * spec.m
     pos = 0
