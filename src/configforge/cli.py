@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 from .configuration import Configuration, enumerate_configurations, mask_elements, subset_mask
 from .realization import (
     RealizationCertificate,
+    _report_fits,
     intersection_spec,
     realize,
     subset_checks,
@@ -139,6 +140,14 @@ def cmd_witness(args) -> int:
         return FAILED
     try:
         spec = intersection_spec(cert.specs, mask)
+        if mask not in cert.reports:
+            raise ValueError(f"certificate has no report for {_format_subset(mask)}")
+        # a report that fits bounds ambient_m by the certificate's size, so
+        # the analysis below costs time in that size, as in verify
+        if not _report_fits(spec, cert.reports[mask]):
+            print(f"subset {_format_subset(mask)}: recorded report does not fit "
+                  "its subgroups")
+            return FAILED
         candidates = (_load_candidates(args.gens, cert.ambient_m)
                       if args.gens else [])
         witness = nonfg_witness(spec, candidates)

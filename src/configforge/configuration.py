@@ -101,8 +101,9 @@ class Configuration:
             raise ValueError("configuration must be an object")
         n = data.get("n")
         ones_raw = data.get("ones")
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ValueError("configuration needs an integer 'n'")
+        # checked before any mask: subset_mask builds 1 << (n - 1)
+        if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_N:
+            raise ValueError(f"configuration needs an integer 'n' in 1..{MAX_N}")
         if not isinstance(ones_raw, list):
             raise ValueError("configuration needs a list 'ones'")
         masks = []

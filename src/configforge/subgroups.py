@@ -238,6 +238,16 @@ _NO_AUTS: Mapping[int, ConjugationAut] = MappingProxyType({})
 
 
 @functools.lru_cache(maxsize=8192)
+def _isolated(i: int, pinned: bool) -> ComponentReport:
+    """Report of coordinate ``i`` when no edge names it, shared by every
+    spec: Trivial if pinned, else a free copy of G."""
+    if pinned:
+        return ComponentReport(frozenset((i,)), i, _NO_AUTS, (), TRIVIAL, None, True)
+    return ComponentReport(frozenset((i,)), i, MappingProxyType({i: IDENTITY_AUT}), (),
+                           FULL_FACTOR, None, True)
+
+
+@functools.lru_cache(maxsize=8192)
 def analyze(spec: SubgroupSpec) -> tuple[ComponentReport, ...]:
     """Connected components, spanning trees, holonomies, classifications.
 
@@ -249,20 +259,28 @@ def analyze(spec: SubgroupSpec) -> tuple[ComponentReport, ...]:
     automorphism is built; otherwise its class is that of the joint
     centralizer of the holonomies: FullFactor (a free copy of G), Cyclic,
     or BaseNotFG (not finitely generated).
-    """
-    adjacency: dict[int, list[tuple[int, int, bool]]] = {
-        i: [] for i in range(1, spec.m + 1)
-    }
-    for k, e in enumerate(spec.edges):
-        adjacency[e.src].append((e.dst, k, True))
-        if e.dst != e.src:
-            adjacency[e.dst].append((e.src, k, False))
-    for lst in adjacency.values():
-        lst.sort(key=lambda item: (item[0], item[1]))
 
+    Only coordinates that an edge names are walked.  Any other coordinate
+    is a component of its own whose report depends on its index and on
+    whether it is pinned alone, so ``_isolated`` builds it once and every
+    spec shares that object; reports are immutable, so sharing is safe.
+    """
+    adjacency: dict[int, list[tuple[int, int, bool]]] = {}
+    for k, e in enumerate(spec.edges):
+        adjacency.setdefault(e.src, []).append((e.dst, k, True))
+        if e.dst != e.src:
+            adjacency.setdefault(e.dst, []).append((e.src, k, False))
+    for lst in adjacency.values():
+        if len(lst) > 1:
+            lst.sort()  # (neighbour, edge) pairs are distinct within a list
+
+    pins = spec.pins
     visited: set[int] = set()
     reports: list[ComponentReport] = []
     for root in range(1, spec.m + 1):
+        if root not in adjacency:
+            reports.append(_isolated(root, root in pins))
+            continue
         if root in visited:
             continue
         visited.add(root)
@@ -277,7 +295,7 @@ def analyze(spec: SubgroupSpec) -> tuple[ComponentReport, ...]:
                     order.append(v)
                     tree.append((u, v, k, forward))
         nodes = frozenset(order)
-        if not nodes.isdisjoint(spec.pins):
+        if not nodes.isdisjoint(pins):
             reports.append(ComponentReport(nodes, root, _NO_AUTS, (), TRIVIAL, None, True))
             continue
         auts: dict[int, ConjugationAut] = {root: IDENTITY_AUT}

@@ -187,6 +187,52 @@ def test_verify_huge_ambient_exits_1_fast(tmp_path, capsys):
     assert "mismatch at {1}" in capsys.readouterr().out
 
 
+HUGE_N_CONFIG = {"n": 10**12, "ones": [[10**12]]}
+
+
+def test_realize_huge_n_exits_2_fast(tmp_path, capsys):
+    # n is range-checked before a subset mask 1 << (n - 1) is built
+    config = write_json(tmp_path / "c.json", HUGE_N_CONFIG)
+    start = time.perf_counter()
+    assert main(["realize", "--config", config, "--out", str(tmp_path / "o.json")]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_verify_huge_n_exits_2_fast(tmp_path, capsys):
+    cert = {"config": HUGE_N_CONFIG, "ambient_m": 1,
+            "specs": [{"m": 1, "edges": [], "pins": []}], "reports": []}
+    path = write_json(tmp_path / "cert.json", cert)
+    start = time.perf_counter()
+    assert main(["verify", "--cert", path]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def _huge_ambient_cert(reports):
+    m = 10**12
+    return {"config": {"n": 1, "ones": [[1]]}, "ambient_m": m,
+            "specs": [{"m": m, "edges": [], "pins": []}], "reports": reports}
+
+
+def test_witness_huge_ambient_exits_1_fast(tmp_path, capsys):
+    # the recorded report is checked against the edges and pins before any
+    # analysis, as verify does, so m = 10^12 coordinates are never walked
+    reports = [{"subset": [1], "fg": False,
+                "components": [{"size": 10**12, "class": "BaseNotFG"}]}]
+    path = write_json(tmp_path / "huge.json", _huge_ambient_cert(reports))
+    start = time.perf_counter()
+    assert main(["witness", "--cert", path, "--subset", "1"]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "subset {1}" in capsys.readouterr().out
+
+
+def test_witness_missing_report_exits_2(tmp_path, capsys):
+    path = write_json(tmp_path / "huge.json", _huge_ambient_cert([]))
+    assert main(["witness", "--cert", path, "--subset", "1"]) == 2
+    assert "no report for {1}" in capsys.readouterr().err
+
+
 def test_analyze_self_loop_with_huge_shift(tmp_path, capsys):
     for shift in (10**9, -10**9):
         spec = {"m": 1, "edges": [{"src": 1, "dst": 1,

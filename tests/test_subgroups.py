@@ -6,6 +6,7 @@ import pickle
 import random
 import subprocess
 import sys
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from configforge import (
     SubgroupSpec,
     WreathElement,
     analyze,
+    classify_centralizer,
     delta,
     identity_tuple,
     in_free_abelian_span,
@@ -447,6 +449,100 @@ def test_spec_unpickled_from_another_process_hashes_like_a_fresh_one():
     fresh = SubgroupSpec(2, [Edge(1, 2, TWIST_AUT)], [2])
     assert spec == fresh and hash(spec) == hash(fresh)
     assert analyze(spec) is analyze(fresh)
+
+
+def reference_analyze(spec):
+    """``analyze`` as it was before isolated coordinates were shared: a BFS
+    from every coordinate 1..m, each report built afresh."""
+    adjacency = {i: [] for i in range(1, spec.m + 1)}
+    for k, e in enumerate(spec.edges):
+        adjacency[e.src].append((e.dst, k, True))
+        if e.dst != e.src:
+            adjacency[e.dst].append((e.src, k, False))
+    for lst in adjacency.values():
+        lst.sort(key=lambda item: (item[0], item[1]))
+    visited = set()
+    reports = []
+    for root in range(1, spec.m + 1):
+        if root in visited:
+            continue
+        visited.add(root)
+        order, tree, met_edges = [root], [], set()
+        for u in order:
+            for v, k, forward in adjacency[u]:
+                met_edges.add(k)
+                if v not in visited:
+                    visited.add(v)
+                    order.append(v)
+                    tree.append((u, v, k, forward))
+        nodes = frozenset(order)
+        if not nodes.isdisjoint(spec.pins):
+            reports.append(subgroups.ComponentReport(
+                nodes, root, MappingProxyType({}), (), TRIVIAL, None, True))
+            continue
+        auts = {root: IDENTITY_AUT}
+        for u, v, k, forward in tree:
+            h = spec.edges[k].label.conjugator
+            auts[v] = ConjugationAut((h if forward else h.inverse()) * auts[u].conjugator)
+        met_edges.difference_update(k for _, _, k, _ in tree)
+        holonomy = []
+        for k in sorted(met_edges):
+            e = spec.edges[k]
+            holonomy.append(auts[e.dst].conjugator.inverse() * e.label.conjugator
+                            * auts[e.src].conjugator)
+        cclass = classify_centralizer(holonomy)
+        reports.append(subgroups.ComponentReport(
+            nodes, root, MappingProxyType(auts), tuple(holonomy), cclass.tag,
+            cclass.generator, cclass.tag != BASE_NOT_FG))
+    return tuple(reports)
+
+
+def _report_fields(report):
+    return (report.nodes, report.root,
+            {i: aut.conjugator for i, aut in report.tree_auts.items()},
+            report.holonomy, report.classification, report.generator, report.fg)
+
+
+@st.composite
+def sparse_specs(draw):
+    """Specs on up to 9 coordinates with at most 5 base edges, so most
+    have isolated coordinates, pinned or not, next to pinned and unpinned
+    multi-node components; edges are repeated with another label
+    (parallel), reversed with the same or the inverse label, or self-loops."""
+    m = draw(st.integers(1, 9))
+    coord = st.integers(1, m)
+    edges = []
+    for src, dst, label in draw(st.lists(st.tuples(coord, coord, st.sampled_from(_LABELS)),
+                                         max_size=5)):
+        edges.append(Edge(src, dst, label))
+        copy = draw(st.sampled_from(("none", "parallel", "reversed", "inverse")))
+        if copy == "parallel":
+            edges.append(Edge(src, dst, draw(st.sampled_from(_LABELS))))
+        elif copy == "reversed":
+            edges.append(Edge(dst, src, label))
+        elif copy == "inverse":
+            edges.append(Edge(dst, src, label.inverse()))
+    loops = draw(st.lists(st.tuples(coord, st.sampled_from(_LABELS)), max_size=2))
+    edges += [Edge(i, i, label) for i, label in loops]
+    return SubgroupSpec(m, draw(st.permutations(edges)), draw(st.lists(coord, max_size=4)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(sparse_specs())
+def test_analyze_matches_reference_field_by_field(spec):
+    reports, expected = analyze(spec), reference_analyze(spec)
+    assert len(reports) == len(expected)
+    for got, want in zip(reports, expected):
+        assert _report_fields(got) == _report_fields(want)
+
+
+def test_isolated_coordinate_report_is_shared_across_specs():
+    # coordinate 3 is named by no edge in either spec; 4 is pinned in both
+    a = SubgroupSpec(4, [Edge(1, 2, TWIST_AUT)], [4])
+    b = SubgroupSpec(4, [Edge(2, 1, IDENTITY_AUT)], [1, 4])
+    (_, free_a, pinned_a), (_, free_b, pinned_b) = analyze(a), analyze(b)
+    assert free_a is free_b and free_a.classification == FULL_FACTOR
+    assert pinned_a is pinned_b and pinned_a.classification == TRIVIAL
 
 
 def test_analyzer_matches_naive_oracle_small():
