@@ -17,6 +17,7 @@ from .configuration import Configuration, enumerate_configurations, mask_element
 from .realization import (
     RealizationCertificate,
     _report_fits,
+    _validate_certificate,
     intersection_spec,
     realize,
     subset_checks,
@@ -29,8 +30,9 @@ OK = 0
 FAILED = 1
 MALFORMED = 2
 
-_MALFORMED_ERRORS = (ValueError, KeyError, TypeError, OSError,
-                     json.JSONDecodeError, UnicodeDecodeError)
+# JSON syntax and UTF-8 errors are ValueErrors; the decoder raises
+# RecursionError on input nested too deeply
+_MALFORMED_ERRORS = (ValueError, KeyError, TypeError, OSError, RecursionError)
 
 
 def _load_json(path: str):
@@ -55,27 +57,19 @@ def _print_verdicts(cert: RealizationCertificate) -> None:
 
 
 def cmd_realize(args) -> int:
-    try:
-        config = Configuration.from_json(_load_json(args.config))
-        cert = realize(config)
-        print(f"n = {config.n}, atoms = {len(config.ones)}, "
-              f"ambient power = {cert.ambient_m}")
-        _print_verdicts(cert)
-        _dump_json(cert.to_json(), args.out)
-    except _MALFORMED_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return MALFORMED
+    config = Configuration.from_json(_load_json(args.config))
+    cert = realize(config)
+    print(f"n = {config.n}, atoms = {len(config.ones)}, "
+          f"ambient power = {cert.ambient_m}")
+    _print_verdicts(cert)
+    _dump_json(cert.to_json(), args.out)
     print(f"certificate -> {args.out}")
     return OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        cert = RealizationCertificate.from_json(_load_json(args.cert))
-        results = list(subset_checks(cert, samples=args.samples, seed=args.seed))
-    except _MALFORMED_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return MALFORMED
+    cert = RealizationCertificate.from_json(_load_json(args.cert))
+    results = list(subset_checks(cert, samples=args.samples, seed=args.seed))
     bad = [mask for mask, ok in results if not ok]
     if bad:
         for mask in bad:
@@ -87,22 +81,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    n = args.n
-    if n is None or not 1 <= n <= 3:
-        print("error: --n must be between 1 and 3", file=sys.stderr)
-        return MALFORMED
-    configs = list(enumerate_configurations(n))
+    configs = list(enumerate_configurations(args.n))
     good = sum(verify(realize(c)) for c in configs)
-    print(f"verified {good}/{len(configs)} configurations for n = {n}")
+    print(f"verified {good}/{len(configs)} configurations for n = {args.n}")
     return OK if good == len(configs) else FAILED
 
 
 def cmd_analyze(args) -> int:
-    try:
-        spec = SubgroupSpec.from_json(_load_json(args.spec))
-    except _MALFORMED_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return MALFORMED
+    spec = SubgroupSpec.from_json(_load_json(args.spec))
     reports = analyze(spec)
     print(f"m = {spec.m}, edges = {len(spec.edges)}, pins = {len(spec.pins)}")
     for report in reports:
@@ -128,32 +114,24 @@ def _load_candidates(path: str, ambient: int) -> list[tuple[WreathElement, ...]]
 
 
 def cmd_witness(args) -> int:
-    try:
-        cert = RealizationCertificate.from_json(_load_json(args.cert))
-        mask = subset_mask([int(s) for s in args.subset.split(",")], cert.config.n)
-    except _MALFORMED_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return MALFORMED
+    cert = RealizationCertificate.from_json(_load_json(args.cert))
+    mask = subset_mask([int(s) for s in args.subset.split(",")], cert.config.n)
+    if mask not in cert.reports:
+        raise ValueError(f"certificate has no report for {_format_subset(mask)}")
+    _validate_certificate(cert)
     if cert.config.value(mask) == 0:
         print(f"subset {_format_subset(mask)} is prescribed finitely generated; "
               "no witness exists")
         return FAILED
-    try:
-        spec = intersection_spec(cert.specs, mask)
-        if mask not in cert.reports:
-            raise ValueError(f"certificate has no report for {_format_subset(mask)}")
-        # a report that fits bounds ambient_m by the certificate's size, so
-        # the analysis below costs time in that size, as in verify
-        if not _report_fits(spec, cert.reports[mask]):
-            print(f"subset {_format_subset(mask)}: recorded report does not fit "
-                  "its subgroups")
-            return FAILED
-        candidates = (_load_candidates(args.gens, cert.ambient_m)
-                      if args.gens else [])
-        witness = nonfg_witness(spec, candidates)
-    except _MALFORMED_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return MALFORMED
+    spec = intersection_spec(cert.specs, mask)
+    # a report that fits bounds ambient_m by the certificate's size, so
+    # the analysis below costs time in that size, as in verify
+    if not _report_fits(spec, cert.reports[mask]):
+        print(f"subset {_format_subset(mask)}: recorded report does not fit "
+              "its subgroups")
+        return FAILED
+    candidates = _load_candidates(args.gens, cert.ambient_m) if args.gens else []
+    witness = nonfg_witness(spec, candidates)
     print(json.dumps(witness.to_json(), indent=2, sort_keys=True))
     return OK
 
@@ -180,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate",
                        help="realize and verify every configuration for small n")
-    p.add_argument("--n", type=int, required=True, help="configuration size (1..3)")
+    p.add_argument("--n", type=int, choices=range(1, 4), required=True,
+                   help="configuration size")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("analyze", help="component analysis of a subgroup spec file")
@@ -204,7 +183,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else MALFORMED
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _MALFORMED_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return MALFORMED
 
 
 if __name__ == "__main__":

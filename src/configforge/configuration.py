@@ -10,14 +10,27 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+from .wreath import _is_int
+
 MAX_N = 16  # 2^n - 1 table entries; realization ambients grow as k * n
+
+
+def _check_n(n: object) -> None:
+    if not _is_int(n) or not 1 <= n <= MAX_N:
+        raise ValueError(f"n must be an integer in 1..{MAX_N}")
+
+
+def _check_mask(mask: object, n: int) -> None:
+    top = (1 << n) - 1
+    if not _is_int(mask) or not 1 <= mask <= top:
+        raise ValueError(f"subset mask {mask!r} out of range 1..{top}")
 
 
 def subset_mask(elements: Iterable[int], n: int) -> int:
     """Bitmask of a nonempty subset given as element indices in 1..n."""
     mask = 0
     for e in elements:
-        if not isinstance(e, int) or isinstance(e, bool) or not 1 <= e <= n:
+        if not _is_int(e) or not 1 <= e <= n:
             raise ValueError(f"subset element {e!r} out of range 1..{n}")
         mask |= 1 << (e - 1)
     if mask == 0:
@@ -46,13 +59,10 @@ class Configuration:
     __slots__ = ("n", "ones")
 
     def __init__(self, n: int, ones: Iterable[int] = ()):
-        if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_N:
-            raise ValueError(f"n must be an integer in 1..{MAX_N}, got {n!r}")
+        _check_n(n)
         ones = frozenset(ones)
-        top = (1 << n) - 1
         for mask in ones:
-            if not isinstance(mask, int) or isinstance(mask, bool) or not 1 <= mask <= top:
-                raise ValueError(f"subset mask {mask!r} out of range 1..{top}")
+            _check_mask(mask, n)
         self.n = n
         self.ones = ones
 
@@ -61,8 +71,7 @@ class Configuration:
         return (1 << self.n) - 1
 
     def value(self, mask: int) -> int:
-        if not 1 <= mask <= self.subset_count:
-            raise ValueError(f"subset mask {mask!r} out of range")
+        _check_mask(mask, self.n)
         return 1 if mask in self.ones else 0
 
     def join(self, other: "Configuration") -> "Configuration":
@@ -102,8 +111,7 @@ class Configuration:
         n = data.get("n")
         ones_raw = data.get("ones")
         # checked before any mask: subset_mask builds 1 << (n - 1)
-        if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_N:
-            raise ValueError(f"configuration needs an integer 'n' in 1..{MAX_N}")
+        _check_n(n)
         if not isinstance(ones_raw, list):
             raise ValueError("configuration needs a list 'ones'")
         masks = []

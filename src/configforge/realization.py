@@ -131,21 +131,12 @@ class RealizationCertificate:
 
 
 def intersection_spec(specs: Sequence[SubgroupSpec], mask: int) -> SubgroupSpec:
-    """Intersection of the specs selected by a nonempty subset mask.
-
-    One spec holding the selected specs' edges in ascending index and the
-    union of their pins; deduplication keeps first occurrences, so this is
-    the same spec as folding ``SubgroupSpec.intersect`` over them.
-    """
+    """Intersection of the specs selected by a nonempty subset mask, in
+    ascending index: ``SubgroupSpec.intersect`` of the selected specs."""
     selected = [spec for i, spec in enumerate(specs) if (mask >> i) & 1]
     if not selected:
         raise ValueError("subset mask must be nonempty")
-    m = selected[0].m
-    for spec in selected:
-        if spec.m != m:
-            raise ValueError(f"mismatched ambient power: {m} vs {spec.m}")
-    return SubgroupSpec(m, [e for spec in selected for e in spec.edges],
-                        frozenset().union(*(spec.pins for spec in selected)))
+    return selected[0].intersect(*selected[1:])
 
 
 def _subset_analysis(spec: SubgroupSpec, mask: int) -> SubsetReport:

@@ -94,8 +94,6 @@ class SubgroupSpec:
         deduped: list[Edge] = []
         seen: set[tuple] = set()
         for edge in edges:
-            if not isinstance(edge, Edge):
-                edge = Edge(*edge)
             src, dst = edge.src, edge.dst
             if not (_is_int(src) and _is_int(dst) and 1 <= src <= m and 1 <= dst <= m):
                 raise ValueError(f"edge endpoints {src!r}->{dst!r} must be integers in 1..{m}")
@@ -121,11 +119,18 @@ class SubgroupSpec:
         """The trivial subgroup: every coordinate pinned to the identity."""
         return cls(m, (), range(1, m + 1))
 
-    def intersect(self, other: "SubgroupSpec") -> "SubgroupSpec":
-        """Union of constraints; membership means membership in both."""
-        if self.m != other.m:
-            raise ValueError(f"mismatched ambient power: {self.m} vs {other.m}")
-        return SubgroupSpec(self.m, self.edges + other.edges, self.pins | other.pins)
+    def intersect(self, *others: "SubgroupSpec") -> "SubgroupSpec":
+        """Union of constraints; membership means membership in every spec.
+
+        The edges are this spec's followed by each other's in argument
+        order, deduplicated as at construction, so the result is the same
+        as intersecting one spec at a time.
+        """
+        for other in others:
+            if other.m != self.m:
+                raise ValueError(f"mismatched ambient power: {self.m} vs {other.m}")
+        return SubgroupSpec(self.m, [e for spec in (self, *others) for e in spec.edges],
+                            self.pins.union(*(other.pins for other in others)))
 
     def member(self, values: Sequence[WreathElement]) -> bool:
         """Exact membership of a coordinate tuple.

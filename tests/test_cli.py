@@ -285,6 +285,46 @@ def test_witness_malformed_inputs(howson_cert, tmp_path):
                  "--gens", bad_gens]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["realize", "--config", "DEEP", "--out", "OUT"],
+    ["verify", "--cert", "DEEP"],
+    ["analyze", "--spec", "DEEP"],
+    ["witness", "--cert", "DEEP", "--subset", "1"],
+    ["witness", "--cert", "CERT", "--subset", "1,2", "--gens", "DEEP"],
+], ids=["realize", "verify", "analyze", "witness-cert", "witness-gens"])
+def test_deeply_nested_input_exits_2(argv, howson_cert, tmp_path, capsys):
+    # the JSON decoder raises RecursionError on nesting this deep
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    paths = {"DEEP": str(deep), "OUT": str(tmp_path / "out.json"),
+             "CERT": str(howson_cert)}
+    capsys.readouterr()
+    assert main([paths.get(arg, arg) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def _extra_spec(data):
+    data["specs"].append(data["specs"][0])
+
+
+def _specs_m_off_ambient(data):
+    for spec in data["specs"]:
+        spec["m"] = data["ambient_m"] + 1
+
+
+@pytest.mark.parametrize("tamper", [_extra_spec, _specs_m_off_ambient])
+def test_witness_refuses_what_verify_refuses(tamper, howson_cert, tmp_path, capsys):
+    data = json.loads(howson_cert.read_text(encoding="utf-8"))
+    tamper(data)
+    cert = write_json(tmp_path / "tampered.json", data)
+    capsys.readouterr()
+    assert main(["verify", "--cert", cert]) == 2
+    refused = capsys.readouterr().err
+    assert refused.startswith("error:")
+    assert main(["witness", "--cert", cert, "--subset", "1,2"]) == 2
+    assert capsys.readouterr() == ("", refused)
+
+
 def test_unknown_command_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 
