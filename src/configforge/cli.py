@@ -41,9 +41,53 @@ def _load_json(path: str):
 
 
 def _dump_json(data, path: str) -> None:
+    """Write a certificate's ``to_json()`` as exactly the bytes of
+    ``json.dumps(data, indent=2, sort_keys=True) + "\\n"``.
+
+    With an indent, ``json`` falls back to its pure-Python encoder, so the
+    reports are written one at a time and each distinct component entry
+    is encoded once.  Other values stream through ``json``'s encoder,
+    re-indented chunk by chunk: encoded strings hold no raw newline.
+    """
+    encoder = json.JSONEncoder(indent=2, sort_keys=True)
+
+    def chunks(value, indent: str):
+        return (chunk.replace("\n", "\n" + indent) for chunk in encoder.iterencode(value))
+
+    encoded_components: dict = {}
+
+    def component(entry) -> str:
+        key = (entry["class"], entry["size"])
+        text = encoded_components.get(key)
+        if text is None:
+            text = encoded_components[key] = "".join(chunks(entry, " " * 8))
+        return text
+
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        separator = "{\n  "
+        for key in sorted(data):
+            value = data[key]
+            handle.write(f"{separator}{json.dumps(key)}: ")
+            separator = ",\n  "
+            if key != "reports" or not value:
+                handle.writelines(chunks(value, "  "))
+                continue
+            report_separator = "[\n    "
+            for report in value:
+                field_separator = report_separator + "{\n      "
+                report_separator = ",\n    "
+                for field in sorted(report):
+                    items = report[field]
+                    handle.write(f"{field_separator}{json.dumps(field)}: ")
+                    field_separator = ",\n      "
+                    if field == "components" and items:
+                        handle.write("[\n        " + ",\n        ".join(map(component, items))
+                                     + "\n      ]")
+                    else:
+                        handle.writelines(chunks(items, "      "))
+                handle.write("\n    }")
+            handle.write("\n  ]")
+        handle.write("\n}\n")
 
 
 def _format_subset(mask: int) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .wreath import _is_int
+from .wreath import _excerpt, _is_int
 
 MAX_N = 16  # 2^n - 1 table entries; realization ambients grow as k * n
 
@@ -23,18 +23,19 @@ def _check_n(n: object) -> None:
 def _check_mask(mask: object, n: int) -> None:
     top = (1 << n) - 1
     if not _is_int(mask) or not 1 <= mask <= top:
-        raise ValueError(f"subset mask {mask!r} out of range 1..{top}")
+        raise ValueError(f"subset mask {_excerpt(mask)} out of range 1..{top}")
 
 
-def subset_mask(elements: Iterable[int], n: int) -> int:
-    """Bitmask of a nonempty subset given as element indices in 1..n."""
+def subset_mask(elements: Iterable[int], n: int, where: str = "") -> int:
+    """Bitmask of a nonempty subset given as element indices in 1..n;
+    ``where`` prefixes error messages with the subset's position."""
     mask = 0
     for e in elements:
         if not _is_int(e) or not 1 <= e <= n:
-            raise ValueError(f"subset element {e!r} out of range 1..{n}")
+            raise ValueError(f"{where}subset element {_excerpt(e)} out of range 1..{n}")
         mask |= 1 << (e - 1)
     if mask == 0:
-        raise ValueError("subset must be nonempty")
+        raise ValueError(f"{where}subset must be nonempty")
     return mask
 
 
@@ -115,10 +116,11 @@ class Configuration:
         if not isinstance(ones_raw, list):
             raise ValueError("configuration needs a list 'ones'")
         masks = []
-        for subset in ones_raw:
+        for position, subset in enumerate(ones_raw):
             if not isinstance(subset, list):
-                raise ValueError(f"bad subset entry: {subset!r}")
-            masks.append(subset_mask(subset, n))
+                raise ValueError(f"'ones' entry {position}: expected a list, "
+                                 f"got {_excerpt(subset)}")
+            masks.append(subset_mask(subset, n, f"'ones' entry {position}: "))
         return Configuration(n, masks)
 
 

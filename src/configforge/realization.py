@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .configuration import Configuration, mask_elements, subset_mask
 from .subgroups import Edge, SubgroupSpec, _fill_component, analyze, sample
-from .wreath import IDENTITY, IDENTITY_AUT, ConjugationAut, WreathElement, _is_int, delta
+from .wreath import IDENTITY, IDENTITY_AUT, ConjugationAut, WreathElement, _excerpt, _is_int, delta
 
 # the fixed twist used by every construction: conjugation by a generator
 # of the base, whose fixed set is exactly the base
@@ -110,22 +110,26 @@ class RealizationCertificate:
             raise ValueError("certificate needs 'specs' and 'reports' lists")
         specs = tuple(SubgroupSpec.from_json(s) for s in specs_raw)
         reports = {}
-        for entry in reports_raw:
+        for position, entry in enumerate(reports_raw):
+            where = f"report {position}"
             if not isinstance(entry, dict) or not isinstance(entry.get("subset"), list):
-                raise ValueError(f"bad report entry: {entry!r}")
-            mask = subset_mask(entry["subset"], config.n)
+                raise ValueError(f"{where}: needs a 'subset' list, got {_excerpt(entry)}")
+            mask = subset_mask(entry["subset"], config.n, f"{where}: ")
             fg = entry.get("fg")
             comps_raw = entry.get("components")
             if not isinstance(fg, bool) or not isinstance(comps_raw, list):
-                raise ValueError(f"bad report entry: {entry!r}")
+                raise ValueError(f"{where}: needs a bool 'fg' and a 'components' list, "
+                                 f"got 'fg': {_excerpt(fg)}, "
+                                 f"'components': {_excerpt(comps_raw)}")
             comps = []
             for c in comps_raw:
                 if (not isinstance(c, dict) or not _is_int(c.get("size"))
                         or not isinstance(c.get("class"), str)):
-                    raise ValueError(f"bad component entry: {c!r}")
+                    raise ValueError(f"{where}, component {len(comps)}: needs an integer 'size' "
+                                     f"and a string 'class', got {_excerpt(c)}")
                 comps.append((c["size"], c["class"]))
             if mask in reports:
-                raise ValueError("duplicate report subset")
+                raise ValueError(f"{where}: duplicate report subset")
             reports[mask] = SubsetReport(mask, fg, tuple(comps))
         return RealizationCertificate(config, ambient, specs, reports)
 

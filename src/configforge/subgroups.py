@@ -31,6 +31,7 @@ from .wreath import (
     IDENTITY_AUT,
     ConjugationAut,
     WreathElement,
+    _excerpt,
     _is_int,
     _trusted,
     classify_centralizer,
@@ -86,17 +87,18 @@ class SubgroupSpec:
 
     def __init__(self, m: int, edges: Iterable[Edge] = (), pins: Iterable[int] = ()):
         if not _is_int(m) or m < 1:
-            raise ValueError(f"ambient power m must be a positive integer, got {m!r}")
+            raise ValueError(f"ambient power m must be a positive integer, got {_excerpt(m)}")
         pins = tuple(pins)
         for p in pins:
             if not _is_int(p) or not 1 <= p <= m:
-                raise ValueError(f"pin {p!r} out of range 1..{m}")
+                raise ValueError(f"pin {_excerpt(p)} out of range 1..{m}")
         deduped: list[Edge] = []
         seen: set[tuple] = set()
         for edge in edges:
             src, dst = edge.src, edge.dst
             if not (_is_int(src) and _is_int(dst) and 1 <= src <= m and 1 <= dst <= m):
-                raise ValueError(f"edge endpoints {src!r}->{dst!r} must be integers in 1..{m}")
+                raise ValueError(f"edge endpoints {_excerpt(src)}->{_excerpt(dst)} "
+                                 f"must be integers in 1..{m}")
             key = _constraint_key(edge)
             if key in seen:
                 continue
@@ -206,9 +208,9 @@ class SubgroupSpec:
         if not isinstance(edges_raw, list) or not isinstance(pins, list):
             raise ValueError("spec needs 'edges' and 'pins' lists")
         edges = []
-        for entry in edges_raw:
+        for position, entry in enumerate(edges_raw):
             if not isinstance(entry, dict):
-                raise ValueError(f"bad edge entry: {entry!r}")
+                raise ValueError(f"edge {position}: expected an object, got {_excerpt(entry)}")
             conj = WreathElement.from_json(entry.get("conjugator"))
             edges.append(Edge(entry.get("src"), entry.get("dst"), ConjugationAut(conj)))
         return SubgroupSpec(m, edges, pins)

@@ -121,13 +121,21 @@ class WreathElement:
         for entry in pairs_raw:
             if (not isinstance(entry, (list, tuple)) or len(entry) != 2
                     or not _is_int(entry[0]) or not _is_int(entry[1])):
-                raise ValueError(f"bad base entry: {entry!r}")
+                raise ValueError(f"base entry {len(pairs)}: expected [index, coefficient], "
+                                 f"got {_excerpt(entry)}")
             pairs.append((entry[0], entry[1]))
         return WreathElement(pairs, shift)
 
 
 def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _excerpt(value: object) -> str:
+    """``repr`` of an input value for an error message, cut to 80
+    characters so that a huge entry is not copied whole to stderr."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
 
 
 def _trusted(base: tuple[tuple[int, int], ...], shift: int) -> WreathElement:

@@ -1,15 +1,20 @@
 """Command-line interface: exit codes, determinism, file handling."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import configforge
-from configforge.cli import main
+from configforge import Configuration, realize
+from configforge.cli import _dump_json, main
 
 HOWSON = {"n": 2, "ones": [[1, 2]]}
 
@@ -165,6 +170,40 @@ def test_verify_subset_element_beyond_n_exits_2(howson_cert, tmp_path, capsys):
         cert = write_json(tmp_path / "beyond.json", data)
         assert main(["verify", "--cert", cert]) == 2
         assert f"subset element {element}" in capsys.readouterr().err
+
+
+def test_verify_bounds_error_text_of_a_huge_bad_report(howson_cert, tmp_path, capsys):
+    data = json.loads(howson_cert.read_text(encoding="utf-8"))
+    data["reports"][2]["fg"] = None
+    data["reports"][2]["components"] = [{"size": 1, "class": "Trivial"}] * 200_000
+    cert = write_json(tmp_path / "huge.json", data)
+    assert main(["verify", "--cert", cert]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: report 2:")
+    assert len(err.encode()) < 1024
+
+
+_HUGE = "x" * 100_000
+
+
+@pytest.mark.parametrize("argv, data, where", [
+    (["realize", "--out", "o.json", "--config"], {"n": 2, "ones": [[1], [1, _HUGE]]},
+     "'ones' entry 1: subset element 'xxx"),
+    (["realize", "--out", "o.json", "--config"], {"n": 2, "ones": [[1], {"k": _HUGE}]},
+     "'ones' entry 1: expected a list"),
+    (["analyze", "--spec"], {"m": 2, "pins": [], "edges": [
+        {"src": 1, "dst": 2, "conjugator": {"shift": 0, "base": [[1, 1], [_HUGE, 1]]}}]},
+     "base entry 1:"),
+    (["analyze", "--spec"], {"m": 2, "pins": [], "edges": [[_HUGE]]}, "edge 0:"),
+    (["analyze", "--spec"], {"m": 2, "pins": [[_HUGE]], "edges": []}, "pin ['xxx"),
+])
+def test_malformed_entry_error_names_it_and_is_bounded(argv, data, where, tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + [write_json(tmp_path / "in.json", data)]) == 2
+    err = capsys.readouterr().err
+    assert where in err
+    assert len(err.encode()) < 1024
 
 
 def test_verify_negative_samples_exits_2(howson_cert, capsys):
@@ -325,18 +364,91 @@ def test_witness_refuses_what_verify_refuses(tamper, howson_cert, tmp_path, caps
     assert capsys.readouterr() == ("", refused)
 
 
+def _cli_env():
+    package_root = os.path.dirname(os.path.dirname(configforge.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _written(data) -> str:
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "cert.json")
+        _dump_json(data, path)
+        with open(path, encoding="utf-8", newline="") as handle:
+            return handle.read()
+
+
+def _first_difference(data):
+    """None if ``_dump_json`` writes exactly ``json.dumps(indent=2,
+    sort_keys=True)`` plus a newline, else the first differing lines
+    (a whole-text diff of a failing example is slow to explain)."""
+    written = _written(data).split("\n")
+    expected = (json.dumps(data, indent=2, sort_keys=True) + "\n").split("\n")
+    for number, pair in enumerate(zip(written, expected)):
+        if pair[0] != pair[1]:
+            return number, *pair
+    return None if len(written) == len(expected) else (len(written), len(expected))
+
+
+@st.composite
+def _configurations(draw):
+    n = draw(st.integers(1, 4))
+    return Configuration(n, draw(st.sets(st.integers(1, (1 << n) - 1))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_configurations())
+@example(Configuration(4))  # all zero: empty 'ones', specs without edges
+@example(Configuration(1, [1]))  # a spec without pins
+def test_certificate_writer_matches_json_dumps(config):
+    data = realize(config).to_json()
+    assert _first_difference(data) is None
+
+
+_CLASS_NAMES = st.one_of(
+    st.sampled_from(["Trivial", "FullFactor", "Cyclic", "BaseNotFG", ""]),
+    st.text(alphabet=st.sampled_from('a"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600')),
+    st.text(max_size=8),
+)
+_SIZES = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70),
+                   st.sampled_from([2**64, 2**64 + 1, -2**64 - 1]))
+_COMPONENTS = st.lists(st.fixed_dictionaries({"class": _CLASS_NAMES, "size": _SIZES}),
+                       max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_configurations(), st.data())
+def test_certificate_writer_matches_json_dumps_on_edited_reports(config, data):
+    cert = realize(config).to_json()
+    for report in cert["reports"]:
+        if data.draw(st.booleans()):
+            report["components"] = data.draw(_COMPONENTS)
+    assert _first_difference(cert) is None
+
+
+def test_cli_realize_writes_the_recorded_full_n5_certificate(tmp_path):
+    reference = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+    digest = json.loads(reference.read_text(encoding="utf-8"))["full_n5_cert_sha256"]
+    config = write_json(tmp_path / "full5.json", Configuration(5, range(1, 32)).to_json())
+    out = tmp_path / "cert.json"
+    result = subprocess.run(
+        [sys.executable, "-m", "configforge", "realize", "--config", config, "--out", str(out)],
+        env=_cli_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_unknown_command_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 
 
 def test_certificate_verifies_in_separate_process(howson_cert):
-    package_root = os.path.dirname(os.path.dirname(configforge.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH")) if p)
     result = subprocess.run(
         [sys.executable, "-m", "configforge", "verify", "--cert", str(howson_cert)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_cli_env(), capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0
     assert "3/3" in result.stdout

@@ -40,10 +40,11 @@ from configforge import (
 )
 
 # sha256 of the certificate files ``configforge realize`` writes for the
-# full configurations, as recorded in bench/reference.json
+# full configurations; n = 5 and 6 as recorded in bench/reference.json
 FULL_CERT_SHA256 = {
     5: "708f18d22f40a4878ff5c31010d3d44adb47ddb5bde2e011d2abda92c4bd7297",
     6: "37299ca243d0ba04cb9858ba7c1a4a742125f6f2ca5448998a6b8aa2d28efa76",
+    7: "68374fd5cb868abbea16e182313bfe6660806bbdb2d235a83c4feea607adbd1b",
 }
 # leading 8 bytes of the sha256 of every n = 4 certificate, indexed by
 # the configuration's 15-bit value table
