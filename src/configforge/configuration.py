@@ -26,16 +26,15 @@ def _check_mask(mask: object, n: int) -> None:
         raise ValueError(f"subset mask {_excerpt(mask)} out of range 1..{top}")
 
 
-def subset_mask(elements: Iterable[int], n: int, where: str = "") -> int:
-    """Bitmask of a nonempty subset given as element indices in 1..n;
-    ``where`` prefixes error messages with the subset's position."""
+def subset_mask(elements: Iterable[int], n: int) -> int:
+    """Bitmask of a nonempty subset given as element indices in 1..n."""
     mask = 0
     for e in elements:
         if not _is_int(e) or not 1 <= e <= n:
-            raise ValueError(f"{where}subset element {_excerpt(e)} out of range 1..{n}")
+            raise ValueError(f"subset element {_excerpt(e)} out of range 1..{n}")
         mask |= 1 << (e - 1)
     if mask == 0:
-        raise ValueError(f"{where}subset must be nonempty")
+        raise ValueError("subset must be nonempty")
     return mask
 
 
@@ -116,11 +115,13 @@ class Configuration:
         if not isinstance(ones_raw, list):
             raise ValueError("configuration needs a list 'ones'")
         masks = []
-        for position, subset in enumerate(ones_raw):
-            if not isinstance(subset, list):
-                raise ValueError(f"'ones' entry {position}: expected a list, "
-                                 f"got {_excerpt(subset)}")
-            masks.append(subset_mask(subset, n, f"'ones' entry {position}: "))
+        try:
+            for position, subset in enumerate(ones_raw):
+                if not isinstance(subset, list):
+                    raise ValueError(f"expected a list, got {_excerpt(subset)}")
+                masks.append(subset_mask(subset, n))
+        except ValueError as exc:
+            raise ValueError(f"'ones' entry {position}: {exc}") from None
         return Configuration(n, masks)
 
 

@@ -108,30 +108,37 @@ class RealizationCertificate:
             raise ValueError("certificate needs an integer 'ambient_m'")
         if not isinstance(specs_raw, list) or not isinstance(reports_raw, list):
             raise ValueError("certificate needs 'specs' and 'reports' lists")
-        specs = tuple(SubgroupSpec.from_json(s) for s in specs_raw)
+        specs = []
+        try:
+            for position, entry in enumerate(specs_raw):
+                specs.append(SubgroupSpec.from_json(entry))
+        except ValueError as exc:
+            raise ValueError(f"spec {position}: {exc}") from None
         reports = {}
-        for position, entry in enumerate(reports_raw):
-            where = f"report {position}"
-            if not isinstance(entry, dict) or not isinstance(entry.get("subset"), list):
-                raise ValueError(f"{where}: needs a 'subset' list, got {_excerpt(entry)}")
-            mask = subset_mask(entry["subset"], config.n, f"{where}: ")
-            fg = entry.get("fg")
-            comps_raw = entry.get("components")
-            if not isinstance(fg, bool) or not isinstance(comps_raw, list):
-                raise ValueError(f"{where}: needs a bool 'fg' and a 'components' list, "
-                                 f"got 'fg': {_excerpt(fg)}, "
-                                 f"'components': {_excerpt(comps_raw)}")
-            comps = []
-            for c in comps_raw:
-                if (not isinstance(c, dict) or not _is_int(c.get("size"))
-                        or not isinstance(c.get("class"), str)):
-                    raise ValueError(f"{where}, component {len(comps)}: needs an integer 'size' "
-                                     f"and a string 'class', got {_excerpt(c)}")
-                comps.append((c["size"], c["class"]))
-            if mask in reports:
-                raise ValueError(f"{where}: duplicate report subset")
-            reports[mask] = SubsetReport(mask, fg, tuple(comps))
-        return RealizationCertificate(config, ambient, specs, reports)
+        try:
+            for position, entry in enumerate(reports_raw):
+                if not isinstance(entry, dict) or not isinstance(entry.get("subset"), list):
+                    raise ValueError(f"needs a 'subset' list, got {_excerpt(entry)}")
+                mask = subset_mask(entry["subset"], config.n)
+                fg = entry.get("fg")
+                comps_raw = entry.get("components")
+                if not isinstance(fg, bool) or not isinstance(comps_raw, list):
+                    raise ValueError(f"needs a bool 'fg' and a 'components' list, "
+                                     f"got 'fg': {_excerpt(fg)}, "
+                                     f"'components': {_excerpt(comps_raw)}")
+                comps = []
+                for c in comps_raw:
+                    if (not isinstance(c, dict) or not _is_int(c.get("size"))
+                            or not isinstance(c.get("class"), str)):
+                        raise ValueError(f"component {len(comps)}: needs an integer 'size' "
+                                         f"and a string 'class', got {_excerpt(c)}")
+                    comps.append((c["size"], c["class"]))
+                if mask in reports:
+                    raise ValueError("duplicate report subset")
+                reports[mask] = SubsetReport(mask, fg, tuple(comps))
+        except ValueError as exc:
+            raise ValueError(f"report {position}: {exc}") from None
+        return RealizationCertificate(config, ambient, tuple(specs), reports)
 
 
 def intersection_spec(specs: Sequence[SubgroupSpec], mask: int) -> SubgroupSpec:

@@ -29,6 +29,7 @@ from .wreath import (
     FULL_FACTOR,
     IDENTITY,
     IDENTITY_AUT,
+    CentralizerClass,
     ConjugationAut,
     WreathElement,
     _excerpt,
@@ -208,11 +209,14 @@ class SubgroupSpec:
         if not isinstance(edges_raw, list) or not isinstance(pins, list):
             raise ValueError("spec needs 'edges' and 'pins' lists")
         edges = []
-        for position, entry in enumerate(edges_raw):
-            if not isinstance(entry, dict):
-                raise ValueError(f"edge {position}: expected an object, got {_excerpt(entry)}")
-            conj = WreathElement.from_json(entry.get("conjugator"))
-            edges.append(Edge(entry.get("src"), entry.get("dst"), ConjugationAut(conj)))
+        try:
+            for position, entry in enumerate(edges_raw):
+                if not isinstance(entry, dict):
+                    raise ValueError(f"expected an object, got {_excerpt(entry)}")
+                conj = WreathElement.from_json(entry.get("conjugator"))
+                edges.append(Edge(entry.get("src"), entry.get("dst"), ConjugationAut(conj)))
+        except ValueError as exc:
+            raise ValueError(f"edge {position}: {exc}") from None
         return SubgroupSpec(m, edges, pins)
 
 
@@ -224,8 +228,9 @@ class ComponentReport(NamedTuple):
     conjugator per independent cycle, expressed at the root.  A Trivial
     report carries neither: its ``tree_auts`` is empty and its ``holonomy``
     is ``()``, since every coordinate of a pinned component is the
-    identity.  Reports are cached by ``analyze``, so they are immutable:
-    ``tree_auts`` is a read-only mapping.
+    identity, and its ``centralizer`` is None.  Reports are cached by
+    ``analyze``, so they are immutable: ``tree_auts`` is a read-only
+    mapping, and a centralizer builds its generator once, on first use.
     """
 
     nodes: frozenset[int]
@@ -233,7 +238,7 @@ class ComponentReport(NamedTuple):
     tree_auts: Mapping[int, ConjugationAut]
     holonomy: tuple[WreathElement, ...]
     classification: str
-    generator: Optional[WreathElement]
+    centralizer: Optional[CentralizerClass]
     fg: bool
 
     @property
@@ -251,7 +256,7 @@ def _isolated(i: int, pinned: bool) -> ComponentReport:
     if pinned:
         return ComponentReport(frozenset((i,)), i, _NO_AUTS, (), TRIVIAL, None, True)
     return ComponentReport(frozenset((i,)), i, MappingProxyType({i: IDENTITY_AUT}), (),
-                           FULL_FACTOR, None, True)
+                           FULL_FACTOR, classify_centralizer(()), True)
 
 
 @functools.lru_cache(maxsize=8192)
@@ -322,8 +327,8 @@ def analyze(spec: SubgroupSpec) -> tuple[ComponentReport, ...]:
             tree_auts=MappingProxyType(auts),
             holonomy=tuple(holonomy),
             classification=cclass.tag,
-            generator=cclass.generator,
-            fg=cclass.tag != BASE_NOT_FG,
+            centralizer=cclass,
+            fg=cclass.finitely_generated,
         ))
     return tuple(reports)
 
@@ -401,7 +406,7 @@ def sample(spec: SubgroupSpec, seed: int = 0, size_bound: int = 2) -> tuple[Wrea
     pos = 0
     for report in reports:
         if report.classification == CYCLIC:
-            root = report.generator ** (draws[pos] - b)
+            root = report.centralizer.generator ** (draws[pos] - b)
             pos += 1
         else:
             shift = 0

@@ -29,6 +29,7 @@ and summing along those classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from math import gcd
 from typing import Iterable, Optional, Union
@@ -234,16 +235,29 @@ class CentralizerClass:
     """Isomorphism type of a joint centralizer in Z wr Z.
 
     FullFactor: no constraint at all, the centralizer is the full group.
-    Cyclic:     infinite cyclic (or trivial, generator = identity).
+    Cyclic:     C(head) for a ``head`` of nonzero shift, infinite cyclic
+                (with no head, the trivial group); decided without a
+                generator, which ``generator`` builds on first use.
     BaseNotFG:  the whole free abelian base, hence not finitely generated.
     """
 
     tag: str
-    generator: Optional[WreathElement] = None
+    head: Optional[WreathElement] = None
+
+    def __post_init__(self):
+        if self.head is not None and (self.tag != CYCLIC or not self.head.shift):
+            raise ValueError("only a Cyclic class has a head, and its shift is nonzero")
 
     @property
     def finitely_generated(self) -> bool:
         return self.tag != BASE_NOT_FG
+
+    @cached_property
+    def generator(self) -> Optional[WreathElement]:
+        """A Cyclic class's generator (the identity if trivial), else None."""
+        if self.head is not None:
+            return cyclic_centralizer_generator(self.head)
+        return IDENTITY if self.tag == CYCLIC else None
 
     def contains(self, x: WreathElement) -> bool:
         """Membership predicate of the classified subgroup."""
@@ -251,28 +265,17 @@ class CentralizerClass:
             return True
         if self.tag == BASE_NOT_FG:
             return x.shift == 0
-        gen = self.generator
-        if gen is None:
-            raise ValueError("Cyclic class without generator")
-        if gen.is_identity:
-            return x.is_identity
-        if gen.shift != 0:
-            if x.shift % gen.shift:
-                return False
-            # C(gen) is infinite cyclic and embeds in Z through the shift,
-            # so its elements whose shift is a multiple of gen.shift are
-            # exactly the powers of gen
-            return gen.commutes_with(x)
-        # shift-zero generator: powers are integer multiples of the base
-        if x.shift != 0:
-            return False
-        if x.is_identity:
-            return True
-        index, coeff = gen.base[0]
-        target = dict(x.base).get(index, 0)
-        if target % coeff:
-            return False
-        return gen ** (target // coeff) == x
+        return x.is_identity if self.head is None else self.head.commutes_with(x)
+
+
+# the classes that carry no data, shared by every classification
+_FULL_FACTOR_CLASS = CentralizerClass(FULL_FACTOR)
+_BASE_NOT_FG_CLASS = CentralizerClass(BASE_NOT_FG)
+_TRIVIAL_CYCLIC_CLASS = CentralizerClass(CYCLIC)
+
+# most terms a centralizer generator may have; the shift and the distance
+# between two indices of a constraint, not its encoded size, set the count
+MAX_GENERATOR_TERMS = 1 << 20
 
 
 def _base_difference(base: tuple[tuple[int, int], ...],
@@ -293,6 +296,8 @@ def cyclic_centralizer_generator(h: WreathElement) -> WreathElement:
     always qualifies, and an empty fold has period 1.  The base
     w = V (1 - x^d) / (1 - x^u) is the running sum of D = V (1 - x^d)
     along each residue class mod u: w(i) = sum_{j >= 0} D(i - j u).
+    A generator of more than ``MAX_GENERATOR_TERMS`` terms raises
+    ``ValueError`` before its terms are built.
     """
     if h.shift == 0:
         raise ValueError("element must have nonzero shift")
@@ -311,16 +316,18 @@ def cyclic_centralizer_generator(h: WreathElement) -> WreathElement:
     classes: dict[int, list[tuple[int, int]]] = {}
     for i, c in _base_difference(h.base, d):
         classes.setdefault(i % u, []).append((i, c))
-    pairs: list[tuple[int, int]] = []
+    runs: list[tuple[range, int]] = []  # indices sharing one running sum
     for terms in classes.values():
         total = 0
         for (i, c), (stop, _) in zip(terms, terms[1:]):
             total += c
             if total:
-                pairs.extend((j, total) for j in range(i, stop, u))
+                runs.append((range(i, stop, u), total))
         if total + terms[-1][1]:
             raise AssertionError("a residue class of V (1 - x^d) does not sum to zero")
-    return _trusted(tuple(sorted(pairs)), d)
+    if sum(len(run) for run, _ in runs) > MAX_GENERATOR_TERMS:
+        raise ValueError(f"centralizer generator has more than {MAX_GENERATOR_TERMS} terms")
+    return _trusted(tuple(sorted([(j, total) for run, total in runs for j in run])), d)
 
 
 def classify_centralizer(elements: Iterable[WreathElement]) -> CentralizerClass:
@@ -332,27 +339,24 @@ def classify_centralizer(elements: Iterable[WreathElement]) -> CentralizerClass:
     cyclic group.  Mixing the two, or combining shifted constraints whose
     base data disagree as rational functions v / (1 - x^t), leaves only the
     identity.  Otherwise the shifted constraints all commute with the
-    first one and share its centralizer, whose generator is
-    ``cyclic_centralizer_generator`` of that first constraint.
+    first one and share its centralizer, which the class keeps as its
+    ``head``; no generator is built.
     """
     nontrivial = [g for g in elements if not g.is_identity]
     if not nontrivial:
-        return CentralizerClass(FULL_FACTOR)
+        return _FULL_FACTOR_CLASS
     shifted = [g for g in nontrivial if g.shift != 0]
     if not shifted:
         # each constraint is a nontrivial base element, whose centralizer
         # is exactly the base; intersections of the base are the base
-        return CentralizerClass(BASE_NOT_FG)
-    if len(shifted) < len(nontrivial):
-        return CentralizerClass(CYCLIC, IDENTITY)
+        return _BASE_NOT_FG_CLASS
     head = shifted[0]
-    for g in shifted[1:]:
-        if not head.commutes_with(g):
-            return CentralizerClass(CYCLIC, IDENTITY)
+    if len(shifted) < len(nontrivial) or not all(head.commutes_with(g) for g in shifted[1:]):
+        return _TRIVIAL_CYCLIC_CLASS
     # every g now lies in C(head), which is infinite cyclic (it embeds in Z
     # through the shift); a nonzero power of its generator has that same
     # centralizer, so all the shifted constraints cut out C(head)
-    return CentralizerClass(CYCLIC, cyclic_centralizer_generator(head))
+    return CentralizerClass(CYCLIC, head)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -196,6 +196,10 @@ _HUGE = "x" * 100_000
      "base entry 1:"),
     (["analyze", "--spec"], {"m": 2, "pins": [], "edges": [[_HUGE]]}, "edge 0:"),
     (["analyze", "--spec"], {"m": 2, "pins": [[_HUGE]], "edges": []}, "pin ['xxx"),
+    (["verify", "--cert"], {"config": {"n": 1, "ones": []}, "ambient_m": 2, "reports": [],
+                            "specs": [{"m": 2, "pins": [], "edges": [{"src": 1, "dst": 2,
+                                       "conjugator": {"shift": 0, "base": [[_HUGE, 1]]}}]}]},
+     "spec 0: edge 0: base entry 0:"),
 ])
 def test_malformed_entry_error_names_it_and_is_bounded(argv, data, where, tmp_path, capsys,
                                                       monkeypatch):
@@ -246,6 +250,42 @@ def test_verify_huge_n_exits_2_fast(tmp_path, capsys):
     assert main(["verify", "--cert", path]) == 2
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err.startswith("error:")
+
+
+# one edge whose Cyclic centralizer is generated by (1 + x^N) / (1 + x),
+# N = 10^12 + 1: an element of 10^12 terms
+DENSE_CYCLIC_SPEC = {"m": 1, "edges": [{"src": 1, "dst": 1, "conjugator": {
+    "base": [[0, 1], [10**12 + 1, 1]], "shift": 2}}], "pins": []}
+DENSE_CYCLIC_CERT = {"config": {"n": 1, "ones": []}, "ambient_m": 1,
+                     "specs": [DENSE_CYCLIC_SPEC],
+                     "reports": [{"subset": [1], "fg": True,
+                                  "components": [{"size": 1, "class": "Cyclic"}]}]}
+
+
+def _run_cli(args):
+    # a hard wall-clock bound: a hang fails the test instead of stalling it
+    return subprocess.run([sys.executable, "-m", "configforge", *args], env=_cli_env(),
+                          capture_output=True, text=True, timeout=20)
+
+
+def test_analyze_dense_cyclic_spec_exits_0_without_building_its_generator(tmp_path):
+    spec = write_json(tmp_path / "spec.json", DENSE_CYCLIC_SPEC)
+    result = _run_cli(["analyze", "--spec", spec])
+    assert result.returncode == 0, result.stderr
+    assert "component {1}: Cyclic, f.g." in result.stdout.splitlines()
+
+
+def test_verify_dense_cyclic_certificate_exits_2_when_sampling(tmp_path):
+    # sampling needs the generator, which is past the term limit; the
+    # analysis alone verifies
+    cert = write_json(tmp_path / "cert.json", DENSE_CYCLIC_CERT)
+    result = _run_cli(["verify", "--cert", cert])
+    assert result.returncode == 2
+    assert result.stderr.startswith("error:") and len(result.stderr.splitlines()) == 1
+    assert len(result.stderr.encode()) < 1024
+    result = _run_cli(["verify", "--cert", cert, "--samples", "0"])
+    assert result.returncode == 0, result.stderr
+    assert "verified: 1/1 subsets consistent" in result.stdout
 
 
 def _huge_ambient_cert(reports):

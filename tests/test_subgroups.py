@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 import configforge
 import oracles
-from configforge import subgroups
+from configforge import subgroups, wreath
 from configforge import (
     BASE_NOT_FG,
+    CYCLIC,
     FULL_FACTOR,
     IDENTITY,
     ConjugationAut,
@@ -180,7 +181,7 @@ def test_pinned_component_carries_no_automorphisms_and_stays_identity():
     assert (pinned.nodes, pinned.classification) == (frozenset({1, 2}), TRIVIAL)
     assert dict(pinned.tree_auts) == {}
     assert pinned.holonomy == ()
-    assert pinned.generator is None and pinned.fg is True
+    assert pinned.centralizer is None and pinned.fg is True
     assert set(free.tree_auts) == {3, 4}
     for seed in range(5):
         value = sample(spec, seed=seed)
@@ -282,6 +283,34 @@ def test_batched_draws_equal_randint_stream(seed, bound, count):
     expected = [rng.randint(-bound, bound) for _ in range(count)]
     draws = subgroups._draws(random.Random(seed), count, bound)
     assert [d - bound for d in draws] == expected
+
+
+def test_analyze_builds_no_generator_and_sample_builds_each_once(monkeypatch):
+    # a shifted self-loop on 1 and a two-edge cycle on 2-3 with a shifted
+    # holonomy: two Cyclic components
+    spec = SubgroupSpec(3, [Edge(1, 1, ConjugationAut(WreathElement({0: 1}, 2))),
+                            Edge(2, 3, ConjugationAut(WreathElement({}, 1))),
+                            Edge(3, 2, IDENTITY_AUT)])
+    original = wreath.cyclic_centralizer_generator
+
+    def refuse(head):
+        raise AssertionError("a generator was built")
+
+    analyze.cache_clear()
+    monkeypatch.setattr(wreath, "cyclic_centralizer_generator", refuse)
+    reports = analyze(spec)
+    assert [r.classification for r in reports] == [CYCLIC, CYCLIC]
+    assert all(r.fg for r in reports)
+    built = []
+
+    def counting(head):
+        built.append(head)
+        return original(head)
+
+    monkeypatch.setattr(wreath, "cyclic_centralizer_generator", counting)
+    for seed in range(4):
+        assert spec.member(sample(spec, seed=seed))
+    assert built == [r.centralizer.head for r in reports]
 
 
 def test_sample_size_bound_limits():
@@ -404,9 +433,21 @@ def test_nonfg_witness_rejects_non_member_candidates():
 
 _OPTIMIZED_WITNESS_SCRIPT = """
 import sys
-from configforge import intersection_spec, realize_atom, subgroups
+from configforge import (CYCLIC, CentralizerClass, WreathElement,
+                         cyclic_centralizer_generator, delta, intersection_spec,
+                         realize_atom, subgroups)
 if __debug__:
     sys.exit(3)  # not running under -O
+try:
+    CentralizerClass(CYCLIC, delta(0))
+    sys.exit(4)  # a shift-zero Cyclic head was accepted
+except ValueError:
+    pass
+try:
+    cyclic_centralizer_generator(WreathElement({0: 1, 10**12 + 1: 1}, 2))
+    sys.exit(5)  # a generator past the term limit was built
+except ValueError:
+    pass
 subgroups.in_free_abelian_span = lambda target, generators: True
 spec = intersection_spec(realize_atom(2, [1, 2]), 0b11)
 try:
@@ -419,7 +460,8 @@ sys.exit(1)
 
 def test_nonfg_witness_soundness_checks_run_under_optimize():
     # a span check that wrongly accepts the witness must still be caught
-    # when assert statements are compiled away
+    # when assert statements are compiled away, and the checks on a
+    # centralizer's head and generator size must still raise
     package_root = os.path.dirname(os.path.dirname(configforge.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -493,14 +535,14 @@ def reference_analyze(spec):
         cclass = classify_centralizer(holonomy)
         reports.append(subgroups.ComponentReport(
             nodes, root, MappingProxyType(auts), tuple(holonomy), cclass.tag,
-            cclass.generator, cclass.tag != BASE_NOT_FG))
+            cclass, cclass.tag != BASE_NOT_FG))
     return tuple(reports)
 
 
 def _report_fields(report):
     return (report.nodes, report.root,
             {i: aut.conjugator for i, aut in report.tree_auts.items()},
-            report.holonomy, report.classification, report.generator, report.fg)
+            report.holonomy, report.classification, report.centralizer, report.fg)
 
 
 @st.composite

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from configforge import wreath
 from configforge import (
     BASE_ONLY,
     CYCLIC,
@@ -215,17 +216,25 @@ def test_cyclic_generator_rejects_zero_shift():
 
 
 def test_centralizer_class_contains_base_generator():
-    # hand-built class with a shift-zero generator: powers are the
-    # integer multiples of the base element
-    from configforge import CentralizerClass
+    # the centralizer of a shift-zero element is the base, not a cyclic
+    # group, so no Cyclic class has such a head; no other class has one
+    with pytest.raises(ValueError):
+        CentralizerClass(CYCLIC, delta(0, 2))
+    with pytest.raises(ValueError):
+        CentralizerClass(BASE_ONLY, WreathElement({}, 1))
 
-    cls = CentralizerClass(CYCLIC, delta(0, 2))
-    assert cls.contains(IDENTITY)
-    assert cls.contains(delta(0, -4))
-    assert not cls.contains(delta(0, 3))
-    assert not cls.contains(delta(1, 2))
-    assert not cls.contains(WreathElement({0: 2}, 1))
-    assert cls.contains(delta(0, 2 * 10**12))  # a closed-form power, at once
+
+def test_cyclic_generator_term_limit(monkeypatch):
+    # (1 + x^N) / (1 + x) has N terms: refused past the limit before any
+    # term is built, however far apart the two input indices are
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="terms"):
+        cyclic_centralizer_generator(WreathElement({0: 1, 10**12 + 1: 1}, 2))
+    assert time.perf_counter() - start < 1.0
+    monkeypatch.setattr(wreath, "MAX_GENERATOR_TERMS", 5)
+    assert len(cyclic_centralizer_generator(WreathElement({0: 1, 5: 1}, 2)).base) == 5
+    with pytest.raises(ValueError, match="terms"):
+        cyclic_centralizer_generator(WreathElement({0: 1, 7: 1}, 2))
 
 
 def test_centralizer_class_contains_large_shift_without_powers():
@@ -238,7 +247,8 @@ def test_centralizer_class_contains_large_shift_without_powers():
     based = CentralizerClass(CYCLIC, WreathElement({0: 1}, 1))
     assert not based.contains(WreathElement({}, 10**9))
     assert not based.contains(WreathElement({0: 1, 10**9 - 1: 1}, 10**9))
-    assert not CentralizerClass(CYCLIC, WreathElement({}, 2)).contains(
+    # C((0, 2)) is generated by (0, 1)
+    assert CentralizerClass(CYCLIC, WreathElement({}, 2)).contains(
         WreathElement({}, 10**9 + 1))
     assert time.perf_counter() - start < 1.0
 
@@ -309,25 +319,32 @@ _small_elements = st.builds(
     st.integers(-4, 4))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.builds(WreathElement, st.one_of(st.just(()), _bases.filter(lambda b: len(b) < 3)),
-                 st.sampled_from([-3, -2, -1, 1, 2, 3])),
-       st.integers(-6, 6), st.one_of(st.just(IDENTITY), _small_elements))
-def test_contains_matches_powers(gen, k, perturbation):
-    x = gen ** k * perturbation
-    member = x.shift % gen.shift == 0 and gen ** (x.shift // gen.shift) == x
-    assert CentralizerClass(CYCLIC, gen).contains(x) == member
-
-
 # one window of indices per base, placed at 0 or +-10**12: terms far apart
 # relative to the shift can give a generator with that many terms, which
 # is output, not search, and too large to build here
 _windows = st.tuples(st.sampled_from([0, 10**12, -10**12]),
                      st.lists(st.tuples(st.integers(-6, 6), st.integers(-3, 3)), max_size=4))
+
+
+def _placed(window):
+    return [(window[0] + i, c) for i, c in window[1]]
+
+
 _roots = st.builds(
-    WreathElement, _windows.map(lambda w: [(w[0] + i, c) for i, c in w[1]]),
+    WreathElement, _windows.map(_placed),
     st.one_of(st.integers(1, 4), st.integers(-4, -1),
               st.integers(10**9 - 2, 10**9), st.integers(-10**9, -10**9 + 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(WreathElement, _windows.map(_placed), st.sampled_from([-3, -2, -1, 1, 2, 3])),
+       st.integers(-6, 6), st.one_of(st.just(IDENTITY), _small_elements))
+def test_contains_matches_powers(head, k, perturbation):
+    cls = classify_centralizer([head])
+    gen = cls.generator
+    x = gen ** k * perturbation
+    member = x.shift % gen.shift == 0 and gen ** (x.shift // gen.shift) == x
+    assert cls.contains(x) == member == head.commutes_with(x)
 
 
 @settings(max_examples=300, deadline=None)
