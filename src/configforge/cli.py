@@ -24,7 +24,7 @@ from .realization import (
     verify,
 )
 from .subgroups import SubgroupSpec, analyze, nonfg_witness
-from .wreath import WreathElement
+from .wreath import WreathElement, _excerpt
 
 OK = 0
 FAILED = 1
@@ -150,10 +150,20 @@ def _load_candidates(path: str, ambient: int) -> list[tuple[WreathElement, ...]]
     if not isinstance(data, list):
         raise ValueError("generators file must be a JSON array of tuples")
     candidates = []
-    for entry in data:
-        if not isinstance(entry, list) or len(entry) != ambient:
-            raise ValueError(f"each generator must be a tuple of {ambient} elements")
-        candidates.append(tuple(WreathElement.from_json(e) for e in entry))
+    try:
+        for position, entry in enumerate(data):
+            if not isinstance(entry, list) or len(entry) != ambient:
+                raise ValueError(f"expected a tuple of {ambient} elements, "
+                                 f"got {_excerpt(entry)}")
+            elements = []
+            try:
+                for index, value in enumerate(entry):
+                    elements.append(WreathElement.from_json(value))
+            except ValueError as exc:
+                raise ValueError(f"element {index}: {exc}") from None
+            candidates.append(tuple(elements))
+    except ValueError as exc:
+        raise ValueError(f"generator {position}: {exc}") from None
     return candidates
 
 

@@ -66,10 +66,6 @@ class Configuration:
         self.n = n
         self.ones = ones
 
-    @property
-    def subset_count(self) -> int:
-        return (1 << self.n) - 1
-
     def value(self, mask: int) -> int:
         _check_mask(mask, self.n)
         return 1 if mask in self.ones else 0
@@ -128,8 +124,8 @@ class Configuration:
 def enumerate_configurations(n: int) -> Iterator[Configuration]:
     """All 2^(2^n - 1) configurations, in lexicographic order of the value
     table (the subset with mask 1 varies slowest)."""
-    probe = Configuration(n)  # validates n
-    count = probe.subset_count
+    _check_n(n)
+    count = (1 << n) - 1
     for code in range(1 << count):
         ones = [mask for mask in range(1, count + 1)
                 if (code >> (count - mask)) & 1]

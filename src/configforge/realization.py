@@ -1,12 +1,18 @@
 """Constructing and verifying realizations of configurations.
 
-Every single-1 configuration is realized on one block of n coordinates by
-a chain of equality constraints closed up by a twist, conjugation by a
-nontrivial base element: the proper sub-intersections are free copies of
-G, while the full intersection collapses to the twist's fixed set, the
-free abelian base, which is not finitely generated.  General
-configurations are joins of their single-1 atoms and are realized block
-by block in a direct product, one block per atom.
+A configuration is realized in G^(kn), one block of n coordinates per
+atom (the single-1 configurations it joins, ascending mask), block b
+holding coordinates bn + 1 .. (b+1)n; subgroup i is the direct product of
+its per-block constraints.  On the block of the atom at subset
+j_1 < ... < j_p, subgroup j_i carries the chain constraint
+g_{j_i} = g_{j_{i+1}} for i < p, subgroup j_p closes the cycle with
+g_{j_p} = twist(g_{j_1}) (a self-loop when p = 1), and every subgroup off
+the subset pins the block.  The twist is conjugation by a nontrivial base
+element.  A proper subfamily of the subset leaves the cycle open and its
+intersection splits into free copies of G; the whole subset closes it,
+and the intersection collapses to the twist's fixed set, the free abelian
+base, which is not finitely generated.  The all-zero configuration is
+one block of the empty atom, pinned by every subgroup.
 
 A RealizationCertificate carries the constructed subgroups together with
 the per-subset analysis; ``verify`` recomputes everything from the
@@ -32,34 +38,31 @@ from .wreath import IDENTITY, IDENTITY_AUT, ConjugationAut, WreathElement, _exce
 TWIST_AUT = ConjugationAut(delta(0))
 
 
+def _block_specs(n: int, atom_masks: Sequence[int]) -> list[SubgroupSpec]:
+    """The n subgroups realizing the join of the given atoms, one block
+    per mask in the given order, laid out as the module describes."""
+    edges: list[list[Edge]] = [[] for _ in range(n)]
+    pins: list[list[int]] = [[] for _ in range(n)]
+    for block, mask in enumerate(atom_masks):
+        offset = block * n
+        members = mask_elements(mask)
+        for pos, j in enumerate(members):
+            if pos + 1 < len(members):
+                edge = Edge(members[pos + 1] + offset, j + offset, IDENTITY_AUT)
+            else:
+                edge = Edge(members[0] + offset, j + offset, TWIST_AUT)
+            edges[j - 1].append(edge)
+        for i in range(n):
+            if not (mask >> i) & 1:
+                pins[i].extend(range(offset + 1, offset + n + 1))
+    ambient = len(atom_masks) * n
+    return [SubgroupSpec(ambient, edges[i], pins[i]) for i in range(n)]
+
+
 def realize_atom(n: int, subset: Iterable[int]) -> list[SubgroupSpec]:
     """Subgroups of G^n realizing the configuration with a single 1 at
-    ``subset``.
-
-    Writing the subset as j_1 < ... < j_p: subgroup j_i carries the chain
-    constraint g_{j_i} = g_{j_{i+1}} for i < p, subgroup j_p closes the
-    cycle with g_{j_p} = twist(g_{j_1}) (a self-loop when p = 1), and
-    every subgroup off the subset is fully pinned.  Any intersection over
-    a subfamily misses an edge of the cycle and splits as a direct product
-    of free copies of G; the intersection over exactly the subset closes
-    the cycle and collapses to the twist's fixed set.
-    """
-    members = sorted(set(subset))
-    if not members:
-        raise ValueError("subset must be nonempty")
-    if members[0] < 1 or members[-1] > n:
-        raise ValueError(f"subset {members} out of range 1..{n}")
-    specs: list[Optional[SubgroupSpec]] = [None] * n
-    for pos, j in enumerate(members):
-        if pos + 1 < len(members):
-            edge = Edge(src=members[pos + 1], dst=j, label=IDENTITY_AUT)
-        else:
-            edge = Edge(src=members[0], dst=j, label=TWIST_AUT)
-        specs[j - 1] = SubgroupSpec(n, (edge,))
-    for i in range(1, n + 1):
-        if specs[i - 1] is None:
-            specs[i - 1] = SubgroupSpec.fully_pinned(n)
-    return specs
+    ``subset``: one block of ``realize``."""
+    return _block_specs(n, [subset_mask(subset, n)])
 
 
 @dataclass(frozen=True)
@@ -160,34 +163,12 @@ def _subset_analysis(spec: SubgroupSpec, mask: int) -> SubsetReport:
 
 
 def realize(config: Configuration) -> RealizationCertificate:
-    """Construct subgroups realizing ``config`` and record their analysis.
-
-    One block of n coordinates per atom of the configuration (ascending
-    mask), block b occupying coordinates (b-1)n + 1 .. bn; subgroup i is
-    the direct product of its per-block constraints.  An all-zero
-    configuration keeps the ambient at n with every subgroup fully pinned.
-    """
-    n = config.n
-    atom_masks = sorted(config.ones)
-    if not atom_masks:
-        ambient = n
-        specs = tuple(SubgroupSpec.fully_pinned(n) for _ in range(n))
-    else:
-        ambient = len(atom_masks) * n
-        edges: list[list[Edge]] = [[] for _ in range(n)]
-        pins: list[set[int]] = [set() for _ in range(n)]
-        for block, atom_mask in enumerate(atom_masks):
-            offset = block * n
-            for i, block_spec in enumerate(realize_atom(n, mask_elements(atom_mask))):
-                edges[i].extend(
-                    Edge(e.src + offset, e.dst + offset, e.label)
-                    for e in block_spec.edges
-                )
-                pins[i].update(p + offset for p in block_spec.pins)
-        specs = tuple(SubgroupSpec(ambient, edges[i], pins[i]) for i in range(n))
+    """Construct subgroups realizing ``config``, laid out as the module
+    describes, and record their analysis."""
+    specs = tuple(_block_specs(config.n, sorted(config.ones) or [0]))
     reports = {mask: _subset_analysis(intersection_spec(specs, mask), mask)
-               for mask in range(1, (1 << n))}
-    return RealizationCertificate(config, ambient, specs, reports)
+               for mask in range(1, (1 << config.n))}
+    return RealizationCertificate(config, specs[0].m, specs, reports)
 
 
 def _validate_certificate(cert: RealizationCertificate) -> None:

@@ -90,15 +90,15 @@ class SubgroupSpec:
         if not _is_int(m) or m < 1:
             raise ValueError(f"ambient power m must be a positive integer, got {_excerpt(m)}")
         pins = tuple(pins)
-        for p in pins:
+        for position, p in enumerate(pins):
             if not _is_int(p) or not 1 <= p <= m:
-                raise ValueError(f"pin {_excerpt(p)} out of range 1..{m}")
+                raise ValueError(f"pin {position}: {_excerpt(p)} out of range 1..{m}")
         deduped: list[Edge] = []
         seen: set[tuple] = set()
-        for edge in edges:
+        for position, edge in enumerate(edges):
             src, dst = edge.src, edge.dst
             if not (_is_int(src) and _is_int(dst) and 1 <= src <= m and 1 <= dst <= m):
-                raise ValueError(f"edge endpoints {_excerpt(src)}->{_excerpt(dst)} "
+                raise ValueError(f"edge {position}: endpoints {_excerpt(src)}->{_excerpt(dst)} "
                                  f"must be integers in 1..{m}")
             key = _constraint_key(edge)
             if key in seen:

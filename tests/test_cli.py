@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, determinism, file handling."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -184,6 +185,7 @@ def test_verify_bounds_error_text_of_a_huge_bad_report(howson_cert, tmp_path, ca
 
 
 _HUGE = "x" * 100_000
+_IDENTITY_JSON = {"shift": 0, "base": []}
 
 
 @pytest.mark.parametrize("argv, data, where", [
@@ -195,15 +197,30 @@ _HUGE = "x" * 100_000
         {"src": 1, "dst": 2, "conjugator": {"shift": 0, "base": [[1, 1], [_HUGE, 1]]}}]},
      "base entry 1:"),
     (["analyze", "--spec"], {"m": 2, "pins": [], "edges": [[_HUGE]]}, "edge 0:"),
-    (["analyze", "--spec"], {"m": 2, "pins": [[_HUGE]], "edges": []}, "pin ['xxx"),
+    (["analyze", "--spec"], {"m": 2, "pins": [[_HUGE]], "edges": []}, "pin 0: ['xxx"),
+    (["analyze", "--spec"], {"m": 2, "pins": [1, 7], "edges": []},
+     "pin 1: 7 out of range 1..2"),
+    (["analyze", "--spec"], {"m": 2, "pins": [], "edges": [
+        {"src": 1, "dst": 2, "conjugator": {"shift": 0, "base": []}},
+        {"src": 1, "dst": 9, "conjugator": {"shift": 0, "base": []}}]},
+     "edge 1: endpoints 1->9 must be integers in 1..2"),
     (["verify", "--cert"], {"config": {"n": 1, "ones": []}, "ambient_m": 2, "reports": [],
                             "specs": [{"m": 2, "pins": [], "edges": [{"src": 1, "dst": 2,
                                        "conjugator": {"shift": 0, "base": [[_HUGE, 1]]}}]}]},
      "spec 0: edge 0: base entry 0:"),
+    (["witness", "--cert", "CERT", "--subset", "1,2", "--gens"],
+     [[_IDENTITY_JSON, _IDENTITY_JSON], [{"shift": 0, "base": [[_HUGE]]}, _IDENTITY_JSON]],
+     "generator 1: element 0: base entry 0:"),
+    (["witness", "--cert", "CERT", "--subset", "1,2", "--gens"], [[_IDENTITY_JSON]],
+     "generator 0: expected a tuple of 2 elements"),
+    (["witness", "--cert", "CERT", "--subset", "1,2", "--gens"], [[_IDENTITY_JSON, _HUGE]],
+     "generator 0: element 1: element must be an object"),
 ])
-def test_malformed_entry_error_names_it_and_is_bounded(argv, data, where, tmp_path, capsys,
-                                                      monkeypatch):
+def test_malformed_entry_error_names_it_and_is_bounded(argv, data, where, howson_cert, tmp_path,
+                                                      capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    argv = [str(howson_cert) if arg == "CERT" else arg for arg in argv]
+    capsys.readouterr()
     assert main(argv + [write_json(tmp_path / "in.json", data)]) == 2
     err = capsys.readouterr().err
     assert where in err
@@ -492,3 +509,22 @@ def test_certificate_verifies_in_separate_process(howson_cert):
     )
     assert result.returncode == 0
     assert "3/3" in result.stdout
+
+
+def test_benchmark_tracer_targets_resolve():
+    # bench/run.py --trace rebinds these names; one that is folded away
+    # or renamed would break traced runs, so it fails here first
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    loader_spec = importlib.util.spec_from_file_location("_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(loader_spec)
+    loader_spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for name, owner, attr in tracer.TARGETS:
+        module_name, _, class_name = owner.partition(".")
+        module = importlib.import_module(f"configforge.{module_name}")
+        if class_name:
+            assert attr in vars(getattr(module, class_name)), name
+        else:
+            assert callable(getattr(module, attr)), name
+    assert callable(configforge.subgroups.analyze.cache_clear)
+    assert callable(configforge.subgroups.analyze.cache_info)

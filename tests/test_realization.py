@@ -32,6 +32,7 @@ from configforge import (
     enumerate_configurations,
     fixed_subgroup,
     intersection_spec,
+    mask_elements,
     realize,
     realize_atom,
     sample,
@@ -95,6 +96,13 @@ def test_realize_atom_errors():
         realize_atom(3, [0])
     with pytest.raises(ValueError):
         realize_atom(3, [4])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_realize_atom_is_one_block_of_realize(n):
+    for mask in range(1, 1 << n):
+        assert realize_atom(n, mask_elements(mask)) == list(realize(Configuration(n, [mask])).specs)
+    assert realize(Configuration(n)).specs == (SubgroupSpec.fully_pinned(n),) * n
 
 
 def test_realize_all_zero_configuration():
