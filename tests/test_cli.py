@@ -198,16 +198,16 @@ _IDENTITY_JSON = {"shift": 0, "base": []}
      "base entry 1:"),
     (["analyze", "--spec"], {"m": 2, "pins": [], "edges": [[_HUGE]]}, "edge 0:"),
     (["analyze", "--spec"], {"m": 2, "pins": [[_HUGE]], "edges": []}, "pin 0: ['xxx"),
+    (["verify", "--cert"], {"config": {"n": 1, "ones": []}, "ambient_m": 2, "reports": [],
+                            "specs": [{"m": 2, "pins": [], "edges": [{"src": 1, "dst": 2,
+                                       "conjugator": {"shift": 0, "base": [[_HUGE, 1]]}}]}]},
+     "spec 0: edge 0: base entry 0:"),
     (["analyze", "--spec"], {"m": 2, "pins": [1, 7], "edges": []},
      "pin 1: 7 out of range 1..2"),
     (["analyze", "--spec"], {"m": 2, "pins": [], "edges": [
         {"src": 1, "dst": 2, "conjugator": {"shift": 0, "base": []}},
         {"src": 1, "dst": 9, "conjugator": {"shift": 0, "base": []}}]},
      "edge 1: endpoints 1->9 must be integers in 1..2"),
-    (["verify", "--cert"], {"config": {"n": 1, "ones": []}, "ambient_m": 2, "reports": [],
-                            "specs": [{"m": 2, "pins": [], "edges": [{"src": 1, "dst": 2,
-                                       "conjugator": {"shift": 0, "base": [[_HUGE, 1]]}}]}]},
-     "spec 0: edge 0: base entry 0:"),
     (["witness", "--cert", "CERT", "--subset", "1,2", "--gens"],
      [[_IDENTITY_JSON, _IDENTITY_JSON], [{"shift": 0, "base": [[_HUGE]]}, _IDENTITY_JSON]],
      "generator 1: element 0: base entry 0:"),
@@ -220,7 +220,6 @@ def test_malformed_entry_error_names_it_and_is_bounded(argv, data, where, howson
                                                       capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     argv = [str(howson_cert) if arg == "CERT" else arg for arg in argv]
-    capsys.readouterr()
     assert main(argv + [write_json(tmp_path / "in.json", data)]) == 2
     err = capsys.readouterr().err
     assert where in err
