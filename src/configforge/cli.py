@@ -24,7 +24,7 @@ from .realization import (
     verify,
 )
 from .subgroups import SubgroupSpec, analyze, nonfg_witness
-from .wreath import WreathElement, _excerpt
+from .wreath import WreathElement, _entries, _excerpt
 
 OK = 0
 FAILED = 1
@@ -146,25 +146,12 @@ def cmd_analyze(args) -> int:
 
 
 def _load_candidates(path: str, ambient: int) -> list[tuple[WreathElement, ...]]:
-    data = _load_json(path)
-    if not isinstance(data, list):
-        raise ValueError("generators file must be a JSON array of tuples")
-    candidates = []
-    try:
-        for position, entry in enumerate(data):
-            if not isinstance(entry, list) or len(entry) != ambient:
-                raise ValueError(f"expected a tuple of {ambient} elements, "
-                                 f"got {_excerpt(entry)}")
-            elements = []
-            try:
-                for index, value in enumerate(entry):
-                    elements.append(WreathElement.from_json(value))
-            except ValueError as exc:
-                raise ValueError(f"element {index}: {exc}") from None
-            candidates.append(tuple(elements))
-    except ValueError as exc:
-        raise ValueError(f"generator {position}: {exc}") from None
-    return candidates
+    def candidate(entry: object) -> tuple[WreathElement, ...]:
+        if not isinstance(entry, list) or len(entry) != ambient:
+            raise ValueError(f"expected a tuple of {ambient} elements, got {_excerpt(entry)}")
+        return tuple(_entries("generator", "element", entry, WreathElement.from_json))
+
+    return _entries("generators file", "generator", _load_json(path), candidate)
 
 
 def cmd_witness(args) -> int:

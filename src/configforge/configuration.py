@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .wreath import _excerpt, _is_int
+from .wreath import _entries, _excerpt, _is_int
 
 MAX_N = 16  # 2^n - 1 table entries; realization ambients grow as k * n
 
@@ -105,20 +105,15 @@ class Configuration:
         if not isinstance(data, dict):
             raise ValueError("configuration must be an object")
         n = data.get("n")
-        ones_raw = data.get("ones")
         # checked before any mask: subset_mask builds 1 << (n - 1)
         _check_n(n)
-        if not isinstance(ones_raw, list):
-            raise ValueError("configuration needs a list 'ones'")
-        masks = []
-        try:
-            for position, subset in enumerate(ones_raw):
-                if not isinstance(subset, list):
-                    raise ValueError(f"expected a list, got {_excerpt(subset)}")
-                masks.append(subset_mask(subset, n))
-        except ValueError as exc:
-            raise ValueError(f"'ones' entry {position}: {exc}") from None
-        return Configuration(n, masks)
+
+        def mask(subset: object) -> int:
+            if not isinstance(subset, list):
+                raise ValueError(f"expected a list, got {_excerpt(subset)}")
+            return subset_mask(subset, n)
+
+        return Configuration(n, _entries("'ones'", "'ones' entry", data.get("ones"), mask))
 
 
 def enumerate_configurations(n: int) -> Iterator[Configuration]:

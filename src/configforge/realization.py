@@ -31,7 +31,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .configuration import Configuration, mask_elements, subset_mask
 from .subgroups import Edge, SubgroupSpec, _fill_component, analyze, sample
-from .wreath import IDENTITY, IDENTITY_AUT, ConjugationAut, WreathElement, _excerpt, _is_int, delta
+from .wreath import (IDENTITY, IDENTITY_AUT, ConjugationAut, WreathElement, _entries, _excerpt,
+                     _is_int, delta)
 
 # the fixed twist used by every construction: conjugation by a generator
 # of the base, whose fixed set is exactly the base
@@ -80,6 +81,26 @@ class SubsetReport:
             "components": [{"size": s, "class": c} for s, c in self.components],
         }
 
+    @staticmethod
+    def from_json(data: dict, n: int) -> "SubsetReport":
+        if not isinstance(data, dict) or not isinstance(data.get("subset"), list):
+            raise ValueError(f"needs a 'subset' list, got {_excerpt(data)}")
+        mask = subset_mask(data["subset"], n)
+        fg = data.get("fg")
+        comps_raw = data.get("components")
+        if not isinstance(fg, bool) or not isinstance(comps_raw, list):
+            raise ValueError(f"needs a bool 'fg' and a 'components' list, "
+                             f"got 'fg': {_excerpt(fg)}, "
+                             f"'components': {_excerpt(comps_raw)}")
+        comps = []
+        for c in comps_raw:
+            if (not isinstance(c, dict) or not _is_int(c.get("size"))
+                    or not isinstance(c.get("class"), str)):
+                raise ValueError(f"component {len(comps)}: needs an integer 'size' "
+                                 f"and a string 'class', got {_excerpt(c)}")
+            comps.append((c["size"], c["class"]))
+        return SubsetReport(mask, fg, tuple(comps))
+
 
 @dataclass
 class RealizationCertificate:
@@ -105,42 +126,18 @@ class RealizationCertificate:
             raise ValueError("certificate must be an object")
         config = Configuration.from_json(data.get("config"))
         ambient = data.get("ambient_m")
-        specs_raw = data.get("specs")
-        reports_raw = data.get("reports")
         if not _is_int(ambient):
             raise ValueError("certificate needs an integer 'ambient_m'")
-        if not isinstance(specs_raw, list) or not isinstance(reports_raw, list):
-            raise ValueError("certificate needs 'specs' and 'reports' lists")
-        specs = []
-        try:
-            for position, entry in enumerate(specs_raw):
-                specs.append(SubgroupSpec.from_json(entry))
-        except ValueError as exc:
-            raise ValueError(f"spec {position}: {exc}") from None
-        reports = {}
-        try:
-            for position, entry in enumerate(reports_raw):
-                if not isinstance(entry, dict) or not isinstance(entry.get("subset"), list):
-                    raise ValueError(f"needs a 'subset' list, got {_excerpt(entry)}")
-                mask = subset_mask(entry["subset"], config.n)
-                fg = entry.get("fg")
-                comps_raw = entry.get("components")
-                if not isinstance(fg, bool) or not isinstance(comps_raw, list):
-                    raise ValueError(f"needs a bool 'fg' and a 'components' list, "
-                                     f"got 'fg': {_excerpt(fg)}, "
-                                     f"'components': {_excerpt(comps_raw)}")
-                comps = []
-                for c in comps_raw:
-                    if (not isinstance(c, dict) or not _is_int(c.get("size"))
-                            or not isinstance(c.get("class"), str)):
-                        raise ValueError(f"component {len(comps)}: needs an integer 'size' "
-                                         f"and a string 'class', got {_excerpt(c)}")
-                    comps.append((c["size"], c["class"]))
-                if mask in reports:
-                    raise ValueError("duplicate report subset")
-                reports[mask] = SubsetReport(mask, fg, tuple(comps))
-        except ValueError as exc:
-            raise ValueError(f"report {position}: {exc}") from None
+        specs = _entries("'specs'", "spec", data.get("specs"), SubgroupSpec.from_json)
+        reports: dict[int, SubsetReport] = {}
+
+        def add_report(entry: object) -> None:
+            report = SubsetReport.from_json(entry, config.n)
+            if report.mask in reports:
+                raise ValueError("duplicate report subset")
+            reports[report.mask] = report
+
+        _entries("'reports'", "report", data.get("reports"), add_report)
         return RealizationCertificate(config, ambient, tuple(specs), reports)
 
 

@@ -32,6 +32,7 @@ from .wreath import (
     CentralizerClass,
     ConjugationAut,
     WreathElement,
+    _entries,
     _excerpt,
     _is_int,
     _trusted,
@@ -201,23 +202,19 @@ class SubgroupSpec:
     def from_json(data: dict) -> "SubgroupSpec":
         if not isinstance(data, dict):
             raise ValueError("subgroup spec must be an object")
-        m = data.get("m")
-        edges_raw = data.get("edges")
         pins = data.get("pins", [])
-        if not _is_int(m):
-            raise ValueError("spec needs an integer 'm'")
-        if not isinstance(edges_raw, list) or not isinstance(pins, list):
-            raise ValueError("spec needs 'edges' and 'pins' lists")
-        edges = []
-        try:
-            for position, entry in enumerate(edges_raw):
-                if not isinstance(entry, dict):
-                    raise ValueError(f"expected an object, got {_excerpt(entry)}")
-                conj = WreathElement.from_json(entry.get("conjugator"))
-                edges.append(Edge(entry.get("src"), entry.get("dst"), ConjugationAut(conj)))
-        except ValueError as exc:
-            raise ValueError(f"edge {position}: {exc}") from None
-        return SubgroupSpec(m, edges, pins)
+        if not isinstance(pins, list):
+            raise ValueError(f"'pins' must be a list, got {_excerpt(pins)}")
+        # the constructor checks m, the pins and the edge endpoints
+        return SubgroupSpec(data.get("m"), _entries("'edges'", "edge", data.get("edges"), _edge),
+                            pins)
+
+
+def _edge(entry: object) -> Edge:
+    if not isinstance(entry, dict):
+        raise ValueError(f"expected an object, got {_excerpt(entry)}")
+    conj = WreathElement.from_json(entry.get("conjugator"))
+    return Edge(entry.get("src"), entry.get("dst"), ConjugationAut(conj))
 
 
 class ComponentReport(NamedTuple):

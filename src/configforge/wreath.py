@@ -32,9 +32,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from math import gcd
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, TypeVar, Union
 
 BasePairs = Iterable[tuple[int, int]]
+T = TypeVar("T")
 
 
 class WreathElement:
@@ -115,17 +116,17 @@ class WreathElement:
         if not isinstance(data, dict):
             raise ValueError("element must be an object with 'base' and 'shift'")
         shift = data.get("shift")
-        pairs_raw = data.get("base")
-        if not _is_int(shift) or not isinstance(pairs_raw, list):
-            raise ValueError("element needs an integer 'shift' and a 'base' list")
-        pairs = []
-        for entry in pairs_raw:
-            if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                    or not _is_int(entry[0]) or not _is_int(entry[1])):
-                raise ValueError(f"base entry {len(pairs)}: expected [index, coefficient], "
-                                 f"got {_excerpt(entry)}")
-            pairs.append((entry[0], entry[1]))
-        return WreathElement(pairs, shift)
+        if not _is_int(shift):
+            raise ValueError(f"element needs an integer 'shift', got {_excerpt(shift)}")
+        return WreathElement(_entries("'base'", "base entry", data.get("base"), _base_pair),
+                             shift)
+
+
+def _base_pair(entry: object) -> tuple[int, int]:
+    if (not isinstance(entry, (list, tuple)) or len(entry) != 2
+            or not _is_int(entry[0]) or not _is_int(entry[1])):
+        raise ValueError(f"expected [index, coefficient], got {_excerpt(entry)}")
+    return entry[0], entry[1]
 
 
 def _is_int(value: object) -> bool:
@@ -137,6 +138,21 @@ def _excerpt(value: object) -> str:
     characters so that a huge entry is not copied whole to stderr."""
     text = repr(value)
     return text if len(text) <= 80 else text[:77] + "..."
+
+
+def _entries(field: str, what: str, raw: object, parse: Callable[[object], T]) -> list[T]:
+    """``parse`` of each entry of the JSON list ``raw``, a non-list being
+    refused by its ``field`` name.  A ``ValueError`` on entry i is re-raised
+    prefixed ``{what} {i}: ``, so nested positions read outermost first."""
+    if not isinstance(raw, list):
+        raise ValueError(f"{field} must be a list, got {_excerpt(raw)}")
+    parsed = []
+    try:
+        for position, entry in enumerate(raw):
+            parsed.append(parse(entry))
+    except ValueError as exc:
+        raise ValueError(f"{what} {position}: {exc}") from None
+    return parsed
 
 
 def _trusted(base: tuple[tuple[int, int], ...], shift: int) -> WreathElement:

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, file handling."""
 
+import copy
 import hashlib
 import importlib.util
 import json
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import configforge
-from configforge import Configuration, realize
-from configforge.cli import _dump_json, main
+from configforge import (Configuration, RealizationCertificate, SubgroupSpec, WreathElement,
+                         realize)
+from configforge.cli import _dump_json, _load_candidates, main
 
 HOWSON = {"n": 2, "ones": [[1, 2]]}
 
@@ -106,12 +108,6 @@ def test_enumerate_out_of_range(capsys):
     assert main(["enumerate", "--n", "4"]) == 2
 
 
-def test_enumerate_respects_thread_cap(monkeypatch, capsys):
-    monkeypatch.setenv("CONFIGFORGE_THREADS", "4")
-    assert main(["enumerate", "--n", "2"]) == 0
-    assert "verified 8/8" in capsys.readouterr().out
-
-
 def test_analyze_chain_twist(tmp_path, capsys):
     from configforge import SubgroupSpec, intersection_spec, realize_atom
 
@@ -186,6 +182,16 @@ def test_verify_bounds_error_text_of_a_huge_bad_report(howson_cert, tmp_path, ca
 
 _HUGE = "x" * 100_000
 _IDENTITY_JSON = {"shift": 0, "base": []}
+_REPORT_JSON = {"subset": [1], "fg": True, "components": [{"size": 1, "class": "FullFactor"}]}
+
+
+def _n2_cert(**fields):
+    """A certificate for n = 2 with two free specs of G^2 and the given
+    fields replaced; it parses, but its reports need not verify."""
+    cert = {"config": {"n": 2, "ones": []}, "ambient_m": 2,
+            "specs": [{"m": 2, "pins": [], "edges": []}] * 2, "reports": [_REPORT_JSON]}
+    cert.update(fields)
+    return cert
 
 
 @pytest.mark.parametrize("argv, data, where", [
@@ -215,6 +221,25 @@ _IDENTITY_JSON = {"shift": 0, "base": []}
      "generator 0: expected a tuple of 2 elements"),
     (["witness", "--cert", "CERT", "--subset", "1,2", "--gens"], [[_IDENTITY_JSON, _HUGE]],
      "generator 0: element 1: element must be an object"),
+    (["realize", "--out", "o.json", "--config"], {"n": 2, "ones": {"k": _HUGE}},
+     "'ones' must be a list, got {'k': 'xxx"),
+    (["verify", "--cert"], _n2_cert(specs={"k": _HUGE}), "'specs' must be a list, got {'k'"),
+    (["verify", "--cert"], _n2_cert(reports=_HUGE), "'reports' must be a list, got 'xxx"),
+    (["analyze", "--spec"], {"m": 2, "pins": [], "edges": {"k": _HUGE}},
+     "'edges' must be a list, got {'k'"),
+    (["analyze", "--spec"], {"m": 2, "pins": [], "edges": [
+        {"src": 1, "dst": 2, "conjugator": {"shift": 0, "base": _HUGE}}]},
+     "edge 0: 'base' must be a list, got 'xxx"),
+    (["witness", "--cert", "CERT", "--subset", "1,2", "--gens"], {"k": _HUGE},
+     "generators file must be a list, got {'k'"),
+    (["verify", "--cert"], _n2_cert(reports=[_REPORT_JSON, {
+        "subset": [2], "fg": True, "components": [{"size": 1, "class": "FullFactor"}] * 2
+        + [{"size": _HUGE, "class": "FullFactor"}]}]),
+     "report 1: component 2: needs an integer 'size'"),
+    (["verify", "--cert"], _n2_cert(reports=[_REPORT_JSON, _REPORT_JSON]),
+     "report 1: duplicate report subset"),
+    (["analyze", "--spec"], {"m": "x", "pins": [], "edges": []},
+     "ambient power m must be a positive integer, got 'x'"),
 ])
 def test_malformed_entry_error_names_it_and_is_bounded(argv, data, where, howson_cert, tmp_path,
                                                       capsys, monkeypatch):
@@ -482,6 +507,71 @@ def test_certificate_writer_matches_json_dumps_on_edited_reports(config, data):
         if data.draw(st.booleans()):
             report["components"] = data.draw(_COMPONENTS)
     assert _first_difference(cert) is None
+
+
+def _read_candidates(doc):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "gens.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        return _load_candidates(path, 2)
+
+
+_ELEMENT_JSON = {"shift": 2, "base": [[0, 1], [3, -2]]}
+_CERT_JSON = realize(Configuration(2, [1, 3])).to_json()  # two blocks; spec 1 has pins
+_READERS = {
+    "configuration": (Configuration.from_json, _CERT_JSON["config"]),
+    "spec": (SubgroupSpec.from_json, _CERT_JSON["specs"][1]),
+    "element": (WreathElement.from_json, _ELEMENT_JSON),
+    "certificate": (RealizationCertificate.from_json, _CERT_JSON),
+    "generators": (_read_candidates, [[_ELEMENT_JSON, _IDENTITY_JSON],
+                                      [_IDENTITY_JSON, _ELEMENT_JSON]]),
+}
+_DELETE = "<delete>"
+_REPLACEMENTS = [_DELETE, None, True, 10**100, 1.5, "x", [], {}, [[1]]]
+
+
+def _node_paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _node_paths(child, path + (key,))
+
+
+def _mutated(doc, draw):
+    """``doc`` with one or two nodes deleted or replaced by one of
+    ``_REPLACEMENTS``; the root is replaced, never deleted."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_node_paths(doc))))
+        value = copy.deepcopy(draw(st.sampled_from(_REPLACEMENTS)))
+        if not path:
+            doc = doc if value == _DELETE else value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value == _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("reader, doc", _READERS.values(), ids=_READERS.keys())
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_readers_refuse_mutated_documents_with_bounded_value_errors(reader, doc, data):
+    mutated = _mutated(doc, data.draw)
+    try:
+        reader(mutated)
+    except ValueError as exc:
+        assert len(str(exc).encode()) < 1024
 
 
 def test_cli_realize_writes_the_recorded_full_n5_certificate(tmp_path):
