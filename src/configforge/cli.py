@@ -13,11 +13,10 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .configuration import Configuration, enumerate_configurations, mask_elements, subset_mask
+from .configuration import Configuration, enumerate_configurations, format_subset, subset_mask
 from .realization import (
     RealizationCertificate,
-    _report_fits,
-    _validate_certificate,
+    check_subset,
     intersection_spec,
     realize,
     subset_checks,
@@ -90,14 +89,10 @@ def _dump_json(data, path: str) -> None:
         handle.write("\n}\n")
 
 
-def _format_subset(mask: int) -> str:
-    return "{" + ",".join(str(e) for e in mask_elements(mask)) + "}"
-
-
 def _print_verdicts(cert: RealizationCertificate) -> None:
     for mask in sorted(cert.reports):
         verdict = "f.g." if cert.reports[mask].fg else "not f.g."
-        print(f"{_format_subset(mask)}: {verdict}")
+        print(f"{format_subset(mask)}: {verdict}")
 
 
 def cmd_realize(args) -> int:
@@ -117,7 +112,7 @@ def cmd_verify(args) -> int:
     bad = [mask for mask, ok in results if not ok]
     if bad:
         for mask in bad:
-            print(f"mismatch at {_format_subset(mask)}")
+            print(f"mismatch at {format_subset(mask)}")
         print(f"verification FAILED: {len(bad)} of {len(results)} subsets")
         return FAILED
     print(f"verified: {len(results)}/{len(results)} subsets consistent")
@@ -157,22 +152,17 @@ def _load_candidates(path: str, ambient: int) -> list[tuple[WreathElement, ...]]
 def cmd_witness(args) -> int:
     cert = RealizationCertificate.from_json(_load_json(args.cert))
     mask = subset_mask([int(s) for s in args.subset.split(",")], cert.config.n)
-    if mask not in cert.reports:
-        raise ValueError(f"certificate has no report for {_format_subset(mask)}")
-    _validate_certificate(cert)
+    # verify's checks on this subset; a witness needs no sampled members
+    reason = check_subset(cert, mask, samples=0)
+    if reason is not None:
+        print(f"subset {format_subset(mask)}: {reason}")
+        return FAILED
     if cert.config.value(mask) == 0:
-        print(f"subset {_format_subset(mask)} is prescribed finitely generated; "
+        print(f"subset {format_subset(mask)} is prescribed finitely generated; "
               "no witness exists")
         return FAILED
-    spec = intersection_spec(cert.specs, mask)
-    # a report that fits bounds ambient_m by the certificate's size, so
-    # the analysis below costs time in that size, as in verify
-    if not _report_fits(spec, cert.reports[mask]):
-        print(f"subset {_format_subset(mask)}: recorded report does not fit "
-              "its subgroups")
-        return FAILED
     candidates = _load_candidates(args.gens, cert.ambient_m) if args.gens else []
-    witness = nonfg_witness(spec, candidates)
+    witness = nonfg_witness(intersection_spec(cert.specs, mask), candidates)
     print(json.dumps(witness.to_json(), indent=2, sort_keys=True))
     return OK
 

@@ -50,6 +50,11 @@ def mask_elements(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def format_subset(mask: int) -> str:
+    """A subset bitmask as its sorted elements in braces, e.g. ``{1,3}``."""
+    return "{" + ",".join(map(str, mask_elements(mask))) + "}"
+
+
 class Configuration:
     """Total map from nonempty subsets of {1..n} to {0, 1}.
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .configuration import Configuration, mask_elements, subset_mask
+from .configuration import Configuration, format_subset, mask_elements, subset_mask
 from .subgroups import Edge, SubgroupSpec, _fill_component, analyze, sample
 from .wreath import (IDENTITY, IDENTITY_AUT, ConjugationAut, WreathElement, _entries, _excerpt,
                      _is_int, delta)
@@ -168,71 +168,68 @@ def realize(config: Configuration) -> RealizationCertificate:
     return RealizationCertificate(config, specs[0].m, specs, reports)
 
 
-def _validate_certificate(cert: RealizationCertificate) -> None:
+def check_subset(cert: RealizationCertificate, mask: int, samples: int = 8,
+                 seed: int = 0) -> Optional[str]:
+    """The first check that subset ``mask`` fails, as a reason code, or
+    None when it passes: ``report-does-not-fit``, ``config-mismatch``
+    (the analysis recomputed from the specs contradicts the
+    configuration), ``report-mismatch`` (it differs from the recorded
+    report) or ``sample-rejected`` (a sampled member of the intersection
+    fails membership in a constituent subgroup).
+
+    The recorded report is first checked against the intersection's
+    edges and pins alone: its component sizes must sum to the ambient
+    power, and it must list at least one component per coordinate that no
+    edge or pin names, since each such coordinate is a component of its
+    own.  A report that passes bounds ``ambient_m`` by its component count
+    plus the named coordinates, so the analysis costs time in the size of
+    the certificate, however large the ``ambient_m`` it names.
+
+    Membership is tested once, against the constituents: the intersection
+    spec's edges and pins are exactly theirs, deduplicated, so a tuple
+    that every constituent accepts is a member of the intersection too.
+
+    Raises ValueError when the certificate has no report for ``mask``,
+    not n specs, a spec whose ``m`` is not ``ambient_m``, or other than
+    2^n - 1 reports.
+    """
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
+    recorded = cert.reports.get(mask)
+    if recorded is None:
+        raise ValueError(f"certificate has no report for {format_subset(mask)}")
     n = cert.config.n
     if len(cert.specs) != n:
         raise ValueError(f"certificate has {len(cert.specs)} specs for n = {n}")
     for spec in cert.specs:
         if spec.m != cert.ambient_m:
             raise ValueError(f"spec ambient {spec.m} != certificate ambient {cert.ambient_m}")
-    expected = set(range(1, 1 << n))
-    if set(cert.reports) != expected:
+    if len(cert.reports) != (1 << n) - 1:
         raise ValueError("certificate reports do not cover exactly the nonempty subsets")
-
-
-def _report_fits(spec: SubgroupSpec, report: SubsetReport) -> bool:
-    """Whether the recorded components can partition the coordinates of
-    ``spec``: checked in the edges and pins, without walking 1..m."""
-    named = set(spec.pins)
-    for edge in spec.edges:
-        named.add(edge.src)
-        named.add(edge.dst)
-    return (sum(size for size, _ in report.components) == spec.m
-            and len(report.components) >= spec.m - len(named))
+    spec = intersection_spec(cert.specs, mask)
+    named = {*spec.pins, *[e.src for e in spec.edges], *[e.dst for e in spec.edges]}
+    if (sum(size for size, _ in recorded.components) != spec.m
+            or len(recorded.components) < spec.m - len(named)):
+        return "report-does-not-fit"
+    recomputed = _subset_analysis(spec, mask)
+    if recomputed.fg != (cert.config.value(mask) == 0):
+        return "config-mismatch"
+    if recomputed.fg != recorded.fg or recomputed.components != recorded.components:
+        return "report-mismatch"
+    elements = mask_elements(mask)
+    for i in range(samples):
+        value = sample(spec, seed=seed + mask * 1009 + i, size_bound=2)
+        if not all(cert.specs[j - 1].member(value) for j in elements):
+            return "sample-rejected"
+    return None
 
 
 def subset_checks(cert: RealizationCertificate, samples: int = 8,
                   seed: int = 0) -> Iterable[tuple[int, bool]]:
-    """Yield (mask, ok) per subset: the analysis recomputed from the specs
-    must match both the configuration and the recorded report, and sampled
-    members of the intersection must pass membership in every constituent
-    subgroup.
-
-    Membership is tested once, against the constituents: the intersection
-    spec's edges and pins are exactly theirs, deduplicated, so a tuple
-    that every constituent accepts is a member of the intersection too.
-
-    Each recorded report is first checked against the intersection's
-    edges and pins alone: its component sizes must sum to the ambient
-    power, and it must list at least one component per coordinate that no
-    edge or pin names, since each such coordinate is a component of its
-    own.  A report that fails this is a mismatch without any analysis or
-    sampling.  One that passes bounds ``ambient_m`` by its component count
-    plus the named coordinates, so the analysis costs time in the size of
-    the certificate, however large the ``ambient_m`` it names.
-    """
-    if samples < 0:
-        raise ValueError(f"samples must be nonnegative, got {samples}")
-    _validate_certificate(cert)
-    n = cert.config.n
-    for mask in range(1, 1 << n):
-        spec = intersection_spec(cert.specs, mask)
-        recorded = cert.reports[mask]
-        if not _report_fits(spec, recorded):
-            yield mask, False
-            continue
-        recomputed = _subset_analysis(spec, mask)
-        ok = (recomputed.fg == (cert.config.value(mask) == 0)
-              and recomputed.fg == recorded.fg
-              and recomputed.components == recorded.components)
-        if ok and samples > 0:
-            elements = mask_elements(mask)
-            for i in range(samples):
-                value = sample(spec, seed=seed + mask * 1009 + i, size_bound=2)
-                if not all(cert.specs[j - 1].member(value) for j in elements):
-                    ok = False
-                    break
-        yield mask, ok
+    """Yield (mask, ok) per subset in ascending mask, ok when
+    ``check_subset`` finds no fault."""
+    for mask in range(1, 1 << cert.config.n):
+        yield mask, check_subset(cert, mask, samples, seed) is None
 
 
 def verify(cert: RealizationCertificate, samples: int = 8, seed: int = 0) -> bool:

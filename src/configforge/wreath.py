@@ -395,17 +395,20 @@ def in_free_abelian_span(target: WreathElement,
     """Decide whether ``target`` lies in the subgroup of the free abelian
     base generated by ``generators``.
 
-    All inputs must have shift zero.  Restricts to the union of supports
-    and keeps an integer row-echelon basis of the generated lattice
+    All inputs must have shift zero.  A target nonzero at an index where
+    every generator is zero is outside the span, decided before any
+    elimination.  Otherwise restricts to the generators' support and
+    keeps an integer row-echelon basis of the generated lattice
     (Hermite-style, extended-gcd row combinations), then tests whether the
     target reduces to zero.
     """
     generators = list(generators)
     if target.shift or any(g.shift for g in generators):
         raise ValueError("span membership is defined on base elements only")
-    support = sorted({i for g in generators for i, _ in g.base}
-                     | {i for i, _ in target.base})
+    support = sorted({i for g in generators for i, _ in g.base})
     position = {index: p for p, index in enumerate(support)}
+    if any(i not in position for i, _ in target.base):
+        return False
     width = len(support)
 
     pivot_rows: dict[int, list[int]] = {}

@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -443,6 +444,45 @@ def test_witness_refuses_what_verify_refuses(tamper, howson_cert, tmp_path, caps
     assert refused.startswith("error:")
     assert main(["witness", "--cert", cert, "--subset", "1,2"]) == 2
     assert capsys.readouterr() == ("", refused)
+
+
+def _flip_fg_at_1_2(data):
+    data["reports"][2]["fg"] = not data["reports"][2]["fg"]
+
+
+def _forge_class_at_1_2(data):
+    # same size, another class: the report still fits its subgroups
+    data["reports"][2]["components"][0]["class"] = "Cyclic"
+
+
+@pytest.mark.parametrize("tamper", [_flip_fg_at_1_2, _forge_class_at_1_2])
+def test_witness_refuses_the_subset_verify_refuses(tamper, howson_cert, tmp_path, capsys):
+    data = json.loads(howson_cert.read_text(encoding="utf-8"))
+    assert data["reports"][2]["subset"] == [1, 2]
+    tamper(data)
+    cert = write_json(tmp_path / "tampered.json", data)
+    capsys.readouterr()
+    assert main(["verify", "--cert", cert]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "mismatch at {1,2}", "verification FAILED: 1 of 3 subsets"]
+    assert main(["witness", "--cert", cert, "--subset", "1,2"]) == 1
+    assert capsys.readouterr().out == "subset {1,2}: report-mismatch\n"
+
+
+def test_witness_with_60_dense_candidates_is_fast(tmp_path):
+    # every candidate is a dense base element at indices 0..39; the witness
+    # sits at index 40, where no candidate is nonzero, so span membership
+    # is refused before any elimination, whose entries grow with each row
+    config = write_json(tmp_path / "c.json", {"n": 1, "ones": [[1]]})
+    cert = tmp_path / "cert.json"
+    assert main(["realize", "--config", config, "--out", str(cert)]) == 0
+    rng = random.Random(0)
+    gens = [[{"base": [[i, rng.choice((-1, 1)) * rng.randint(1, 9)] for i in range(40)],
+              "shift": 0}] for _ in range(60)]
+    result = _run_cli(["witness", "--cert", str(cert), "--subset", "1",
+                       "--gens", write_json(tmp_path / "gens.json", gens)])
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["witness"] == [{"base": [[40, 1]], "shift": 0}]
 
 
 def _cli_env():

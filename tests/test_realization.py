@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from configforge import cli, realization
@@ -22,6 +23,7 @@ from configforge import (
     TWIST_AUT,
     Configuration,
     ConjugationAut,
+    Edge,
     PermutationalAut,
     RealizationCertificate,
     SubgroupSpec,
@@ -249,6 +251,72 @@ def test_report_that_cannot_partition_fails_before_analysis(monkeypatch):
             cert.config, cert.ambient_m, cert.specs, reports)))
         assert checks == {m: m != mask for m in range(1, 8)}
         assert mask not in seen and len(set(seen)) == 6
+
+
+# replacements for a twist conjugator: a shifted element (Cyclic
+# centralizer, f.g.) and base elements other than the twist's delta(0)
+_TWIST_SWAPS = (IDENTITY_AUT, ConjugationAut(WreathElement({0: 1}, 1)),
+                ConjugationAut(delta(1)), ConjugationAut(WreathElement({0: 2})),
+                ConjugationAut(WreathElement({0: 1, 1: -1})))
+
+
+def _tampered_specs(specs, kind, i, pick):
+    """Copies of ``specs`` with one constraint of subgroup ``i`` changed;
+    a kind with nothing to change in that subgroup changes nothing."""
+    m = specs[0].m
+    edges = [list(spec.edges) for spec in specs]
+    pins = [set(spec.pins) for spec in specs]
+    coordinate = pick % m + 1
+    own = edges[i]
+    k = pick % len(own) if own else None
+    if kind == "add-pin":
+        pins[i].add(coordinate)
+    elif kind == "drop-pin" and pins[i]:
+        pins[i].discard(sorted(pins[i])[pick % len(pins[i])])
+    elif kind == "retarget" and own:
+        src, dst, label = own[k]
+        own[k] = Edge(coordinate, dst, label) if pick % 2 else Edge(src, coordinate, label)
+    elif kind == "swap-twist":
+        twisted = [j for j, edge in enumerate(own) if edge.label == TWIST_AUT]
+        if twisted:
+            j = twisted[pick % len(twisted)]
+            own[j] = own[j]._replace(label=_TWIST_SWAPS[pick % len(_TWIST_SWAPS)])
+    elif kind == "drop-edge" and own:
+        del own[k]
+    elif kind == "move-edge" and own and len(specs) > 1:
+        edges[(i + 1 + pick % (len(specs) - 1)) % len(specs)].append(own.pop(k))
+    return tuple(SubgroupSpec(m, edges[j], pins[j]) for j in range(len(specs)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(1, 3), ones=st.sets(st.integers(1, 7)),
+       kind=st.sampled_from(["add-pin", "drop-pin", "retarget", "swap-twist",
+                             "drop-edge", "move-edge"]),
+       i=st.integers(0, 2), pick=st.integers(0, 1000))
+@example(n=1, ones={1}, kind="drop-edge", i=0, pick=0)  # the subset becomes f.g.
+@example(n=2, ones={3}, kind="add-pin", i=0, pick=0)  # pins the closed cycle
+@example(n=2, ones={1}, kind="move-edge", i=0, pick=0)  # the twist moves to subgroup 2
+@example(n=2, ones={3}, kind="add-pin", i=1, pick=1)  # pins the cycle off its root
+def test_verify_agrees_with_the_oracle_on_tampered_specs(n, ones, kind, i, pick):
+    # realize's reports against specs with one constraint changed; the
+    # oracle recomputes each intersection from plain unions of edges and
+    # pins.  Sampling only adds rejections, so checking the analysis alone
+    # is the stronger claim.
+    config = Configuration(n, {mask for mask in ones if mask < 1 << n})
+    honest = realize(config)
+    assert verify(honest, samples=0)
+    specs = _tampered_specs(honest.specs, kind, i % n, pick)
+    cert = RealizationCertificate(config, honest.ambient_m, specs, honest.reports)
+    accepted = verify(cert, samples=0)
+    for mask in range(1, 1 << n):
+        selected = [spec for j, spec in enumerate(specs) if mask >> j & 1]
+        count, fg = oracles.naive_component_count_and_fg(
+            cert.ambient_m, [e for spec in selected for e in spec.edges],
+            set().union(*(spec.pins for spec in selected)))
+        if fg != (config.value(mask) == 0):
+            assert not accepted, f"verify accepted {mask_elements(mask)} against the oracle"
+        if accepted:
+            assert count == len(cert.reports[mask].components), mask_elements(mask)
 
 
 def test_certificate_json_roundtrip():
