@@ -87,19 +87,17 @@ class SubsetReport:
             raise ValueError(f"needs a 'subset' list, got {_excerpt(data)}")
         mask = subset_mask(data["subset"], n)
         fg = data.get("fg")
-        comps_raw = data.get("components")
-        if not isinstance(fg, bool) or not isinstance(comps_raw, list):
-            raise ValueError(f"needs a bool 'fg' and a 'components' list, "
-                             f"got 'fg': {_excerpt(fg)}, "
-                             f"'components': {_excerpt(comps_raw)}")
-        comps = []
-        for c in comps_raw:
-            if (not isinstance(c, dict) or not _is_int(c.get("size"))
-                    or not isinstance(c.get("class"), str)):
-                raise ValueError(f"component {len(comps)}: needs an integer 'size' "
-                                 f"and a string 'class', got {_excerpt(c)}")
-            comps.append((c["size"], c["class"]))
+        if not isinstance(fg, bool):
+            raise ValueError(f"needs a bool 'fg', got {_excerpt(fg)}")
+        comps = _entries("'components'", "component", data.get("components"), _component)
         return SubsetReport(mask, fg, tuple(comps))
+
+
+def _component(entry: object) -> tuple[int, str]:
+    if (not isinstance(entry, dict) or not _is_int(entry.get("size"))
+            or not isinstance(entry.get("class"), str)):
+        raise ValueError(f"needs an integer 'size' and a string 'class', got {_excerpt(entry)}")
+    return entry["size"], entry["class"]
 
 
 @dataclass
@@ -186,8 +184,8 @@ def check_subset(cert: RealizationCertificate, mask: int, samples: int = 8,
     the certificate, however large the ``ambient_m`` it names.
 
     Membership is tested once, against the constituents: the intersection
-    spec's edges and pins are exactly theirs, deduplicated, so a tuple
-    that every constituent accepts is a member of the intersection too.
+    spec's edges and pins are exactly theirs, so a tuple that every
+    constituent accepts is a member of the intersection too.
 
     Raises ValueError when the certificate has no report for ``mask``,
     not n specs, a spec whose ``m`` is not ``ambient_m``, or other than
@@ -303,8 +301,8 @@ def fixed_subgroup(aut: PermutationalAut) -> tuple[OrbitDecomposition, SubgroupS
     permutation.  Each orbit is read off ``analyze``: its root, its size,
     and the holonomy of the one cycle it closes, which is the composite
     twist around the orbit.  A 2-cycle whose labels are mutually inverse
-    keeps one edge after deduplication and closes no cycle; its composite
-    twist is the identity.
+    keeps both edges and closes a cycle whose composite twist is the
+    identity.
     """
     edges = [Edge(src=j, dst=aut.perm[j - 1], label=aut.labels[j - 1])
              for j in range(1, aut.k + 1)]

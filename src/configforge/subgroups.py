@@ -50,23 +50,6 @@ class Edge(NamedTuple):
     label: ConjugationAut
 
 
-def _element_key(e: WreathElement) -> tuple:
-    return (e.shift, e.base)
-
-
-def _constraint_key(edge: Edge) -> tuple:
-    """Canonical dedup key: g_dst = phi(g_src) and g_src = phi^-1(g_dst)
-    are the same constraint, as are the two readings of a self-loop."""
-    h = edge.label.conjugator
-    if edge.src == edge.dst:
-        pick = min(h, h.inverse(), key=_element_key)
-        return (edge.src, edge.src, pick.shift, pick.base)
-    if edge.src < edge.dst:
-        return (edge.src, edge.dst, h.shift, h.base)
-    inv = h.inverse()
-    return (edge.dst, edge.src, inv.shift, inv.base)
-
-
 def _getter(indices: Sequence[int]):
     """``itemgetter(*indices)``, returning a tuple also for 0 or 1 index."""
     if len(indices) > 1:
@@ -80,9 +63,10 @@ def _getter(indices: Sequence[int]):
 class SubgroupSpec:
     """Immutable constraint subgroup of G^m.
 
-    Duplicate constraints (identical edges, or an edge and its reverse
-    with the inverted label) are removed at construction, keeping the
-    first occurrence in its stored orientation.
+    The edges are stored exactly as given, in order.  A repeated
+    constraint (the same edge again, or its reverse with the inverse
+    label) closes a cycle whose holonomy is the identity, or repeats an
+    earlier holonomy or its inverse, so it changes no analysis verdict.
     """
 
     __slots__ = ("m", "edges", "pins", "_hash", "_plan")
@@ -94,20 +78,14 @@ class SubgroupSpec:
         for position, p in enumerate(pins):
             if not _is_int(p) or not 1 <= p <= m:
                 raise ValueError(f"pin {position}: {_excerpt(p)} out of range 1..{m}")
-        deduped: list[Edge] = []
-        seen: set[tuple] = set()
+        edges = tuple(edges)
         for position, edge in enumerate(edges):
             src, dst = edge.src, edge.dst
             if not (_is_int(src) and _is_int(dst) and 1 <= src <= m and 1 <= dst <= m):
                 raise ValueError(f"edge {position}: endpoints {_excerpt(src)}->{_excerpt(dst)} "
                                  f"must be integers in 1..{m}")
-            key = _constraint_key(edge)
-            if key in seen:
-                continue
-            seen.add(key)
-            deduped.append(edge)
         self.m = m
-        self.edges: tuple[Edge, ...] = tuple(deduped)
+        self.edges: tuple[Edge, ...] = edges
         self.pins = frozenset(pins)
         # analyze's cache hashes its argument on every lookup
         self._hash = hash((m, self.edges, self.pins))
@@ -127,8 +105,7 @@ class SubgroupSpec:
         """Union of constraints; membership means membership in every spec.
 
         The edges are this spec's followed by each other's in argument
-        order, deduplicated as at construction, so the result is the same
-        as intersecting one spec at a time.
+        order, so the result is the same as intersecting one spec at a time.
         """
         for other in others:
             if other.m != self.m:
@@ -222,7 +199,8 @@ class ComponentReport(NamedTuple):
 
     ``tree_auts`` maps each node to the automorphism expressing its
     coordinate in terms of the root value; ``holonomy`` lists one
-    conjugator per independent cycle, expressed at the root.  A Trivial
+    conjugator per independent cycle, expressed at the root (the cycle of
+    a repeated constraint gives the identity or a repeat).  A Trivial
     report carries neither: its ``tree_auts`` is empty and its ``holonomy``
     is ``()``, since every coordinate of a pinned component is the
     identity, and its ``centralizer`` is None.  Reports are cached by

@@ -241,6 +241,11 @@ def _n2_cert(**fields):
      "report 1: duplicate report subset"),
     (["analyze", "--spec"], {"m": "x", "pins": [], "edges": []},
      "ambient power m must be a positive integer, got 'x'"),
+    (["verify", "--cert"], _n2_cert(reports=[{**_REPORT_JSON, "fg": _HUGE}]),
+     "report 0: needs a bool 'fg', got 'xxx"),
+    (["verify", "--cert"], _n2_cert(reports=[_REPORT_JSON, {
+        "subset": [2], "fg": True, "components": {"k": _HUGE}}]),
+     "report 1: 'components' must be a list, got {'k'"),
 ])
 def test_malformed_entry_error_names_it_and_is_bounded(argv, data, where, howson_cert, tmp_path,
                                                       capsys, monkeypatch):
@@ -485,6 +490,22 @@ def test_witness_with_60_dense_candidates_is_fast(tmp_path):
     assert json.loads(result.stdout)["witness"] == [{"base": [[40, 1]], "shift": 0}]
 
 
+def test_analyze_spec_with_40000_repeated_edges_is_fast(tmp_path):
+    # 20,000 copies of a shifted self-loop and 20,000 of one base edge:
+    # every repeat is kept, and each adds a holonomy that is the identity
+    # or the self-loop's shift again
+    loop = {"src": 1, "dst": 1, "conjugator": {"base": [], "shift": 1}}
+    base = {"src": 1, "dst": 2, "conjugator": {"base": [[0, 1]], "shift": 0}}
+    spec = write_json(tmp_path / "spec.json",
+                      {"m": 2, "edges": [loop, base] * 20_000, "pins": []})
+    result = _run_cli(["analyze", "--spec", spec])
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "m = 2, edges = 40000, pins = 0"
+    assert [line for line in lines if line.startswith("component")] == [
+        "component {1,2}: Cyclic, f.g."]
+
+
 def _cli_env():
     package_root = os.path.dirname(os.path.dirname(configforge.__file__))
     env = dict(os.environ)
@@ -657,3 +678,23 @@ def test_benchmark_tracer_targets_resolve():
             assert callable(getattr(module, attr)), name
     assert callable(configforge.subgroups.analyze.cache_clear)
     assert callable(configforge.subgroups.analyze.cache_info)
+
+
+_REPO = Path(__file__).resolve().parents[1]
+_BENCH_WORKLOADS = [w["name"] for w in
+                    json.loads((_REPO / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
+
+
+@pytest.mark.parametrize("workload", _BENCH_WORKLOADS)
+def test_benchmark_workload_runs_clean(workload):
+    # one short run per workload: the benchmark checks every op it runs
+    # (verdicts, certificate digests, exit codes), so a wrong output or a
+    # crash shows here before a full benchmark run
+    result = subprocess.run(
+        [sys.executable, str(_REPO / "bench" / "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "1", "--trace", "0"],
+        cwd=_REPO, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
+    summary = json.loads(result.stdout.splitlines()[-1])
+    assert summary["correct"] is True, result.stdout[-2000:]
+    assert summary["attempted"] >= 1 and summary["failed"] == 0

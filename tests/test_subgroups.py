@@ -190,26 +190,19 @@ def test_pinned_component_carries_no_automorphisms_and_stays_identity():
         assert spec.member(value)
 
 
-def test_dedup_duplicate_edges():
+def test_spec_keeps_repeated_constraints_in_order():
     e = Edge(1, 2, TWIST_AUT)
-    spec = SubgroupSpec(2, [e, e])
-    assert len(spec.edges) == 1
-    assert analyze(spec)[0].holonomy == ()
-
-
-def test_dedup_reverse_edge_with_inverse_label():
-    forward = Edge(1, 2, TWIST_AUT)
+    assert SubgroupSpec(2, [e, e]).edges == (e, e)
     backward = Edge(2, 1, TWIST_AUT.inverse())
-    spec = SubgroupSpec(2, [forward, backward])
-    assert len(spec.edges) == 1
+    loops = [Edge(1, 1, TWIST_AUT), Edge(1, 1, TWIST_AUT.inverse())]
+    assert SubgroupSpec(2, [backward, e, *loops]).edges == (backward, e, *loops)
     # a genuinely different label on the reverse edge is kept
-    spec2 = SubgroupSpec(2, [forward, Edge(2, 1, TWIST_AUT)])
-    assert len(spec2.edges) == 2
-
-
-def test_dedup_selfloop_inverse_reading():
-    spec = SubgroupSpec(1, [Edge(1, 1, TWIST_AUT), Edge(1, 1, TWIST_AUT.inverse())])
-    assert len(spec.edges) == 1
+    assert SubgroupSpec(2, [e, Edge(2, 1, TWIST_AUT)]).edges == (e, Edge(2, 1, TWIST_AUT))
+    # intersect concatenates, so a spec met with itself repeats its edges
+    spec = SubgroupSpec(2, [e], [2])
+    assert spec.intersect(spec) == SubgroupSpec(2, [e, e], [2]) != spec
+    # the repeat closes a cycle whose holonomy is the identity
+    assert analyze(SubgroupSpec(2, [e, e]))[0].holonomy == (IDENTITY,)
 
 
 def test_contradictory_constraints_restrict_instead_of_error():
@@ -576,6 +569,63 @@ def test_analyze_matches_reference_field_by_field(spec):
     assert len(reports) == len(expected)
     for got, want in zip(reports, expected):
         assert _report_fields(got) == _report_fields(want)
+
+
+def _old_constraint_key(edge):
+    """The key by which specs once dropped repeated constraints: an edge
+    and its reverse with the inverse label, and the two readings of a
+    self-loop, are one constraint."""
+    h = edge.label.conjugator
+    if edge.src == edge.dst:
+        pick = min(h, h.inverse(), key=lambda x: (x.shift, x.base))
+        return (edge.src, edge.src, pick.shift, pick.base)
+    if edge.src < edge.dst:
+        return (edge.src, edge.dst, h.shift, h.base)
+    inv = h.inverse()
+    return (edge.dst, edge.src, inv.shift, inv.base)
+
+
+def _deduplicated(spec):
+    """``spec`` with each repeated constraint after its first occurrence dropped."""
+    seen, kept = set(), []
+    for edge in spec.edges:
+        key = _old_constraint_key(edge)
+        if key not in seen:
+            seen.add(key)
+            kept.append(edge)
+    return SubgroupSpec(spec.m, kept, spec.pins)
+
+
+def _fields_but_holonomy(report):
+    nodes, root, auts, _, *rest = _report_fields(report)
+    return nodes, root, auts, *rest
+
+
+@st.composite
+def specs_with_repeats(draw):
+    """``sparse_specs`` with some edges repeated as given or reversed with
+    the inverse label (for a self-loop, the inverse reading), shuffled."""
+    spec = draw(sparse_specs())
+    edges = list(spec.edges)
+    for src, dst, label in spec.edges:
+        copy = draw(st.sampled_from(("none", "same", "inverse")))
+        if copy == "same":
+            edges.append(Edge(src, dst, label))
+        elif copy == "inverse":
+            edges.append(Edge(dst, src, label.inverse()))
+    return SubgroupSpec(spec.m, draw(st.permutations(edges)), spec.pins)
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs_with_repeats())
+def test_repeated_constraints_change_no_analysis_or_sample(spec):
+    # only the holonomy lists may differ: a repeat adds the identity, or an
+    # earlier holonomy again or its inverse, after the first occurrence
+    unique = _deduplicated(spec)
+    assert ([_fields_but_holonomy(r) for r in analyze(spec)]
+            == [_fields_but_holonomy(r) for r in analyze(unique)])
+    for seed in range(3):
+        assert sample(spec, seed) == sample(unique, seed)
 
 
 def test_isolated_coordinate_report_is_shared_across_specs():
