@@ -109,10 +109,10 @@ def cmd_realize(args) -> int:
 def cmd_verify(args) -> int:
     cert = RealizationCertificate.from_json(_load_json(args.cert))
     results = list(subset_checks(cert, samples=args.samples, seed=args.seed))
-    bad = [mask for mask, ok in results if not ok]
+    bad = [(mask, reason) for mask, reason in results if reason is not None]
     if bad:
-        for mask in bad:
-            print(f"mismatch at {format_subset(mask)}")
+        for mask, reason in bad:
+            print(f"mismatch at {format_subset(mask)}: {reason}")
         print(f"verification FAILED: {len(bad)} of {len(results)} subsets")
         return FAILED
     print(f"verified: {len(results)}/{len(results)} subsets consistent")
@@ -182,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="re-check a certificate from its subgroups")
     p.add_argument("--cert", required=True, help="certificate JSON file")
-    p.add_argument("--samples", type=int, default=8,
-                   help="members sampled per subset (default 8)")
+    p.add_argument("--samples", type=int, default=0,
+                   help="members also sampled and tested per subset (default 0)")
     p.add_argument("--seed", type=int, default=0, help="sampling seed base")
     p.set_defaults(func=cmd_verify)
 

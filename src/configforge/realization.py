@@ -30,9 +30,10 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .configuration import Configuration, format_subset, mask_elements, subset_mask
-from .subgroups import Edge, SubgroupSpec, _fill_component, analyze, sample
-from .wreath import (IDENTITY, IDENTITY_AUT, ConjugationAut, WreathElement, _entries, _excerpt,
-                     _is_int, delta)
+from .subgroups import (TRIVIAL, ComponentReport, Edge, SubgroupSpec, _fill_component, analyze,
+                        sample)
+from .wreath import (BASE_NOT_FG, CYCLIC, FULL_FACTOR, IDENTITY, IDENTITY_AUT, ConjugationAut,
+                     WreathElement, _entries, _excerpt, _is_int, delta)
 
 # the fixed twist used by every construction: conjugation by a generator
 # of the base, whose fixed set is exactly the base
@@ -166,14 +167,81 @@ def realize(config: Configuration) -> RealizationCertificate:
     return RealizationCertificate(config, specs[0].m, specs, reports)
 
 
-def check_subset(cert: RealizationCertificate, mask: int, samples: int = 8,
+def _root_is_trivial(report: ComponentReport) -> bool:
+    """Whether the component's root ranges over the trivial group only:
+    it is Trivial, or Cyclic with no head."""
+    return report.classification == TRIVIAL or (
+        report.classification == CYCLIC and report.centralizer.head is None)
+
+
+def _edge_holds(report: ComponentReport, a_src: WreathElement, h: WreathElement,
+                a_dst: WreathElement) -> bool:
+    """Whether g_dst = h g_src h^-1 holds on every member of a component
+    whose root ranges over a nontrivial class C, given the tree
+    conjugators a_src and a_dst of the edge's endpoints.
+
+    A member puts a_v r a_v^-1 at v for a root value r in C, so the edge
+    holds exactly when g = a_dst^-1 h a_src commutes with all of C.
+    FullFactor (C is the whole group, whose centre is trivial) asks g = 1,
+    that is h a_src = a_dst.  BaseNotFG (C is the base) asks g to have
+    shift 0, and shifts add under multiplication.  Cyclic C = C(head) is
+    abelian and holds the head, so g commutes with all of C exactly when
+    it commutes with the head.
+    """
+    tag = report.classification
+    if tag == FULL_FACTOR:
+        return h * a_src == a_dst
+    if tag == BASE_NOT_FG:
+        return h.shift + a_src.shift == a_dst.shift
+    return tag == CYCLIC and report.centralizer.head.commutes_with(a_dst.inverse() * h * a_src)
+
+
+def _constraints_hold(cert: RealizationCertificate, mask: int,
+                      components: Sequence[ComponentReport]) -> bool:
+    """Whether every member of the intersection as ``components`` describe
+    it satisfies each pin and edge of every constituent spec in ``mask``.
+
+    The components must partition 1..m.  An edge must join two nodes of
+    one component, and hold on it by ``_edge_holds`` unless its root is
+    trivial; a pin must fall in a component whose root is trivial.  The
+    constituents' own constraints are tested, not the intersection's, so
+    the check does not rely on the intersection builder either.
+    """
+    m = cert.ambient_m
+    owner = {node: report for report in components for node in report.nodes}
+    if (sum(len(report.nodes) for report in components) != m
+            or owner.keys() != set(range(1, m + 1))):
+        return False
+    # the nodes of components whose root is not trivial
+    free = {node for report in components if not _root_is_trivial(report)
+            for node in report.nodes}
+    for j in mask_elements(mask):
+        spec = cert.specs[j - 1]
+        if not spec.pins.isdisjoint(free):
+            return False
+        for src, dst, label in spec.edges:
+            report = owner[src]
+            if owner[dst] is not report:
+                return False
+            if src not in free:
+                continue
+            auts = report.tree_auts
+            if not _edge_holds(report, auts[src].conjugator, label.conjugator,
+                               auts[dst].conjugator):
+                return False
+    return True
+
+
+def check_subset(cert: RealizationCertificate, mask: int, samples: int = 0,
                  seed: int = 0) -> Optional[str]:
     """The first check that subset ``mask`` fails, as a reason code, or
     None when it passes: ``report-does-not-fit``, ``config-mismatch``
     (the analysis recomputed from the specs contradicts the
     configuration), ``report-mismatch`` (it differs from the recorded
-    report) or ``sample-rejected`` (a sampled member of the intersection
-    fails membership in a constituent subgroup).
+    report), ``constraint-rejected`` (a member of the intersection as
+    analysed breaks a constraint of a constituent subgroup) or
+    ``sample-rejected`` (one of ``samples`` sampled members of the
+    intersection fails membership in a constituent subgroup).
 
     The recorded report is first checked against the intersection's
     edges and pins alone: its component sizes must sum to the ambient
@@ -183,9 +251,12 @@ def check_subset(cert: RealizationCertificate, mask: int, samples: int = 8,
     plus the named coordinates, so the analysis costs time in the size of
     the certificate, however large the ``ambient_m`` it names.
 
-    Membership is tested once, against the constituents: the intersection
-    spec's edges and pins are exactly theirs, so a tuple that every
-    constituent accepts is a member of the intersection too.
+    ``constraint-rejected`` is exact: it tests every constituent pin and
+    edge against the analysed components at once (``_constraints_hold``),
+    where sampling tests members one at a time.  Sampled members are
+    tested once, against the constituents: the intersection spec's edges
+    and pins are exactly theirs, so a tuple that every constituent accepts
+    is a member of the intersection too.
 
     Raises ValueError when the certificate has no report for ``mask``,
     not n specs, a spec whose ``m`` is not ``ambient_m``, or other than
@@ -214,6 +285,8 @@ def check_subset(cert: RealizationCertificate, mask: int, samples: int = 8,
         return "config-mismatch"
     if recomputed.fg != recorded.fg or recomputed.components != recorded.components:
         return "report-mismatch"
+    if not _constraints_hold(cert, mask, analyze(spec)):
+        return "constraint-rejected"
     elements = mask_elements(mask)
     for i in range(samples):
         value = sample(spec, seed=seed + mask * 1009 + i, size_bound=2)
@@ -222,17 +295,19 @@ def check_subset(cert: RealizationCertificate, mask: int, samples: int = 8,
     return None
 
 
-def subset_checks(cert: RealizationCertificate, samples: int = 8,
-                  seed: int = 0) -> Iterable[tuple[int, bool]]:
-    """Yield (mask, ok) per subset in ascending mask, ok when
-    ``check_subset`` finds no fault."""
+def subset_checks(cert: RealizationCertificate, samples: int = 0,
+                  seed: int = 0) -> Iterable[tuple[int, Optional[str]]]:
+    """Yield (mask, reason) per subset in ascending mask, the reason code
+    of ``check_subset``, None when it finds no fault."""
     for mask in range(1, 1 << cert.config.n):
-        yield mask, check_subset(cert, mask, samples, seed) is None
+        yield mask, check_subset(cert, mask, samples, seed)
 
 
-def verify(cert: RealizationCertificate, samples: int = 8, seed: int = 0) -> bool:
-    """Recompute every subset analysis from the specs alone and compare."""
-    return all(ok for _, ok in subset_checks(cert, samples=samples, seed=seed))
+def verify(cert: RealizationCertificate, samples: int = 0, seed: int = 0) -> bool:
+    """Recompute every subset analysis from the specs alone, compare, and
+    check every constraint against it; ``samples`` members per subset are
+    also drawn and tested."""
+    return all(reason is None for _, reason in subset_checks(cert, samples=samples, seed=seed))
 
 
 class PermutationalAut:

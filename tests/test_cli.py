@@ -324,9 +324,9 @@ def test_analyze_dense_cyclic_spec_exits_0_without_building_its_generator(tmp_pa
 
 def test_verify_dense_cyclic_certificate_exits_2_when_sampling(tmp_path):
     # sampling needs the generator, which is past the term limit; the
-    # analysis alone verifies
+    # analysis and the constraint check alone verify
     cert = write_json(tmp_path / "cert.json", DENSE_CYCLIC_CERT)
-    result = _run_cli(["verify", "--cert", cert])
+    result = _run_cli(["verify", "--cert", cert, "--samples", "8"])
     assert result.returncode == 2
     assert result.stderr.startswith("error:") and len(result.stderr.splitlines()) == 1
     assert len(result.stderr.encode()) < 1024
@@ -469,7 +469,7 @@ def test_witness_refuses_the_subset_verify_refuses(tamper, howson_cert, tmp_path
     capsys.readouterr()
     assert main(["verify", "--cert", cert]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "mismatch at {1,2}", "verification FAILED: 1 of 3 subsets"]
+        "mismatch at {1,2}: report-mismatch", "verification FAILED: 1 of 3 subsets"]
     assert main(["witness", "--cert", cert, "--subset", "1,2"]) == 1
     assert capsys.readouterr().out == "subset {1,2}: report-mismatch\n"
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from configforge import cli, realization
+from configforge import cli, realization, subgroups
 from configforge import (
     BASE_NOT_FG,
     CYCLIC,
@@ -184,8 +184,9 @@ def test_verify_checks_samples_against_constituents(monkeypatch):
         return tuple(value)
 
     monkeypatch.setattr(realization, "sample", tampered)
-    assert dict(subset_checks(cert)) == {mask: mask != target for mask in range(1, 8)}
-    assert not verify(cert)
+    assert dict(subset_checks(cert, samples=8)) == {
+        mask: "sample-rejected" if mask == target else None for mask in range(1, 8)}
+    assert not verify(cert, samples=8)
 
 
 def test_full_certificate_bytes_match_recorded_digests(tmp_path):
@@ -195,14 +196,32 @@ def test_full_certificate_bytes_match_recorded_digests(tmp_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, f"n = {n}"
 
 
+def _n4_config(code):
+    """The n = 4 configuration whose value table is the 15-bit ``code``."""
+    return Configuration(4, [m for m in range(1, 16) if code >> (m - 1) & 1])
+
+
+def _digest_prefix(cert, path):
+    cli._dump_json(cert.to_json(), str(path))
+    return hashlib.sha256(path.read_bytes()).digest()[:8]
+
+
 def test_n4_certificate_bytes_match_recorded_digests(tmp_path):
     table = DIGESTS_N4.read_bytes()
     path = tmp_path / "cert.json"
     for code in range(0, 1 << 15, 128):
-        config = Configuration(4, [m for m in range(1, 16) if code >> (m - 1) & 1])
-        cli._dump_json(realize(config).to_json(), str(path))
-        assert hashlib.sha256(path.read_bytes()).digest()[:8] == table[8 * code:8 * code + 8], \
+        assert _digest_prefix(realize(_n4_config(code)), path) == table[8 * code:8 * code + 8], \
             f"n = 4 code {code}"
+
+
+def test_n4_certificates_verify_and_match_recorded_digests(tmp_path):
+    # an odd stride meets every residue of the low bits of the code
+    table = DIGESTS_N4.read_bytes()
+    path = tmp_path / "cert.json"
+    for code in range(0, 1 << 15, 113):
+        cert = realize(_n4_config(code))
+        assert verify(cert), f"n = 4 code {code}"
+        assert _digest_prefix(cert, path) == table[8 * code:8 * code + 8], f"n = 4 code {code}"
 
 
 def test_sampled_member_stream_is_unchanged():
@@ -248,9 +267,77 @@ def test_report_that_cannot_partition_fails_before_analysis(monkeypatch):
         reports = {**cert.reports, mask: dataclasses.replace(cert.reports[mask], components=forged)}
         seen.clear()
         checks = dict(subset_checks(RealizationCertificate(
-            cert.config, cert.ambient_m, cert.specs, reports)))
-        assert checks == {m: m != mask for m in range(1, 8)}
+            cert.config, cert.ambient_m, cert.specs, reports), samples=8))
+        assert checks == {m: "report-does-not-fit" if m == mask else None for m in range(1, 8)}
         assert mask not in seen and len(set(seen)) == 6
+
+
+@pytest.fixture
+def fresh_analysis():
+    """An empty ``analyze`` cache before and after the test, so reports a
+    patched analysis made do not outlive it."""
+    analyze.cache_clear()
+    yield
+    analyze.cache_clear()
+
+
+def test_constraint_check_rejects_a_pinned_coordinate_read_as_free(
+        monkeypatch, fresh_analysis, tmp_path, capsys):
+    # subgroup 3 pins coordinate 3, which no edge names; read as FullFactor
+    # it keeps every verdict f.g. and every report consistent
+    isolated = subgroups._isolated
+    monkeypatch.setattr(subgroups, "_isolated", lambda i, pinned: isolated(i, False))
+    cert = realize(Configuration(3, [0b011, 0b110]))
+    assert cert.reports[0b100].components[2] == (1, FULL_FACTOR)
+    reasons = dict(subset_checks(cert))
+    assert reasons[0b100] == "constraint-rejected"
+    assert set(reasons.values()) == {None, "constraint-rejected"}
+    assert not verify(cert)
+    path = tmp_path / "cert.json"
+    cli._dump_json(cert.to_json(), str(path))
+    assert cli.main(["verify", "--cert", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "mismatch at {3}: constraint-rejected" in lines
+    assert lines[-1] == f"verification FAILED: {len(lines) - 1} of 7 subsets"
+
+
+def test_constraint_check_rejects_a_twisted_cycle_read_as_free(
+        monkeypatch, fresh_analysis, tmp_path, capsys):
+    # one subgroup of G^2 closes the cycle 1 -> 2 -> 1 with a shifted
+    # twist: its fixed set is Cyclic, f.g. as prescribed
+    twist = ConjugationAut(WreathElement({0: 1}, 1))
+    spec = SubgroupSpec(2, [Edge(1, 2, IDENTITY_AUT), Edge(2, 1, twist)])
+    config = Configuration(1)
+
+    def certificate():
+        report = realization._subset_analysis(spec, 0b1)
+        return RealizationCertificate(config, 2, (spec,), {0b1: report})
+
+    honest = certificate()
+    assert honest.reports[0b1].components == ((2, CYCLIC),)
+    assert verify(honest)
+    classify = subgroups.classify_centralizer
+    monkeypatch.setattr(subgroups, "classify_centralizer", lambda holonomy: classify(
+        () if classify(holonomy).tag == CYCLIC else holonomy))
+    analyze.cache_clear()
+    forged = certificate()
+    assert forged.reports[0b1].components == ((2, FULL_FACTOR),)
+    assert realization.check_subset(forged, 0b1, samples=0) == "constraint-rejected"
+    assert not verify(forged)
+    path = tmp_path / "cert.json"
+    cli._dump_json(forged.to_json(), str(path))
+    capsys.readouterr()
+    assert cli.main(["witness", "--cert", str(path), "--subset", "1"]) == 1
+    assert capsys.readouterr().out == "subset {1}: constraint-rejected\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 4), code=st.integers(0, (1 << 15) - 1))
+def test_honest_certificates_pass_the_constraint_check(n, code):
+    cert = realize(Configuration(n, [m for m in range(1, 1 << n) if code >> (m - 1) & 1]))
+    for mask in range(1, 1 << n):
+        components = analyze(intersection_spec(cert.specs, mask))
+        assert realization._constraints_hold(cert, mask, components), mask_elements(mask)
 
 
 # replacements for a twist conjugator: a shifted element (Cyclic
@@ -306,7 +393,7 @@ def test_verify_agrees_with_the_oracle_on_tampered_specs(n, ones, kind, i, pick)
     # checked with sampling, which also sees a wrong class that is f.g.
     config = Configuration(n, {mask for mask in ones if mask < 1 << n})
     honest = realize(config)
-    assert verify(honest)
+    assert verify(honest, samples=8)
     specs = _tampered_specs(honest.specs, kind, i % n, pick)
     cert = RealizationCertificate(config, honest.ambient_m, specs, honest.reports)
     accepted = verify(cert, samples=0)
