@@ -30,12 +30,8 @@ from .subgroups import (
     Edge,
     SubgroupSpec,
     analyze,
-    identity_tuple,
-    is_finitely_generated,
     nonfg_witness,
     sample,
-    tuple_inverse,
-    tuple_multiply,
 )
 from .wreath import (
     BASE_NOT_FG,
@@ -81,10 +77,8 @@ __all__ = [
     "embed_orbit_roots",
     "enumerate_configurations",
     "fixed_subgroup",
-    "identity_tuple",
     "in_free_abelian_span",
     "intersection_spec",
-    "is_finitely_generated",
     "mask_elements",
     "nonfg_witness",
     "realize",
@@ -92,7 +86,5 @@ __all__ = [
     "sample",
     "subset_checks",
     "subset_mask",
-    "tuple_inverse",
-    "tuple_multiply",
     "verify",
 ]

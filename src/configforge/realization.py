@@ -262,8 +262,8 @@ def check_subset(cert: RealizationCertificate, mask: int, samples: int = 0,
     not n specs, a spec whose ``m`` is not ``ambient_m``, or other than
     2^n - 1 reports.
     """
-    if samples < 0:
-        raise ValueError(f"samples must be nonnegative, got {samples}")
+    if not _is_int(samples) or samples < 0:
+        raise ValueError(f"samples must be a nonnegative integer, got {_excerpt(samples)}")
     recorded = cert.reports.get(mask)
     if recorded is None:
         raise ValueError(f"certificate has no report for {format_subset(mask)}")

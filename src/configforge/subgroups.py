@@ -319,32 +319,6 @@ def _fill_component(values: list[WreathElement], report: ComponentReport,
         values[node - 1] = report.tree_auts[node](root_value)
 
 
-# sample draws every value from randint(-b, b) with b = size_bound; the
-# byte table below reproduces that stream for b up to 127
-_MAX_SIZE_BOUND = 127
-
-
-@functools.lru_cache(maxsize=_MAX_SIZE_BOUND + 1)
-def _acceptance_table(bound: int) -> bytes:
-    """Top byte of a 32-bit Mersenne Twister word -> draw + bound, or 0xff
-    where ``randint(-bound, bound)`` rejects the word and draws again."""
-    width = 2 * bound + 1
-    drop = 8 - width.bit_length()
-    return bytes([top >> drop if top >> drop < width else 0xFF for top in range(256)])
-
-
-def _draws(rng: random.Random, count: int, bound: int) -> bytes:
-    """The next ``count`` values of ``rng.randint(-bound, bound)``, each
-    plus ``bound``; may consume words of ``rng`` beyond the last one used."""
-    table = _acceptance_table(bound)
-    accepted = b""
-    while len(accepted) < count:
-        words = 2 * (count - len(accepted)) + 8  # at least half are accepted
-        raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-        accepted += raw[3::4].translate(table).replace(b"\xff", b"")
-    return accepted[:count]
-
-
 def sample(spec: SubgroupSpec, seed: int = 0, size_bound: int = 2) -> tuple[WreathElement, ...]:
     """Deterministic pseudo-random member of the subgroup.
 
@@ -357,42 +331,34 @@ def sample(spec: SubgroupSpec, seed: int = 0, size_bound: int = 2) -> tuple[Wrea
     Trivial components draw nothing and keep their coordinates at the
     identity.  size_bound 0 yields the identity tuple.
 
-    The draws are taken in one batch with the same stream.  CPython's
-    ``randint(-b, b)`` returns -b + r, where r is ``getrandbits(k)`` for
-    k = (2b+1).bit_length(), redrawn while r >= 2b+1; for k <= 32 that is
-    the top k bits of one 32-bit Mersenne Twister word.
-    ``getrandbits(32 w)`` returns the next w words, least significant
-    first, so byte 4i+3 of its little-endian bytes is the top byte of word
-    i.  A 256-entry table maps that byte to r or marks it rejected, which
-    needs k <= 8: size_bound must lie in 0..127.  The generator is local,
-    so words drawn past the last needed one change nothing.
+    ``draw`` runs CPython's own loop for ``randint(-b, b)``: r is
+    ``getrandbits(k)`` for k = (2b+1).bit_length(), redrawn while
+    r >= 2b+1, and the value is r - b.  So the stream is that of
+    ``randint`` for any nonnegative integer b.
     """
-    if size_bound < 0:
-        raise ValueError("size_bound must be nonnegative")
-    if size_bound > _MAX_SIZE_BOUND:
-        raise ValueError(f"size_bound must be at most {_MAX_SIZE_BOUND}")
-    reports = [r for r in analyze(spec) if r.classification != TRIVIAL]
+    if not _is_int(size_bound) or size_bound < 0:
+        raise ValueError(f"size_bound must be a nonnegative integer, got {_excerpt(size_bound)}")
     b = size_bound
     width = 2 * b + 1
-    per_root = {FULL_FACTOR: width + 1, BASE_NOT_FG: width, CYCLIC: 1}
-    draws = _draws(random.Random(seed), sum(per_root[r.classification] for r in reports), b)
-    indices = range(-b, b + 1)
+    k = width.bit_length()
+    getrandbits = random.Random(seed).getrandbits
+
+    def draw() -> int:
+        r = getrandbits(k)
+        while r >= width:
+            r = getrandbits(k)
+        return r - b
+
     values = [IDENTITY] * spec.m
-    pos = 0
-    for report in reports:
+    for report in analyze(spec):
+        if report.classification == TRIVIAL:
+            continue
         if report.classification == CYCLIC:
-            root = report.centralizer.generator ** (draws[pos] - b)
-            pos += 1
+            root = report.centralizer.generator ** draw()
         else:
-            shift = 0
-            if report.classification == FULL_FACTOR:
-                shift = draws[pos] - b
-                pos += 1
-            coeffs = draws[pos:pos + width]
-            pos += width
-            # canonical: ascending indices, zero coefficients (byte b) dropped
-            root = _trusted(tuple([(i, c - b) for i, c in zip(indices, coeffs) if c != b]),
-                            shift)
+            shift = draw() if report.classification == FULL_FACTOR else 0
+            # canonical: ascending indices, zero coefficients dropped
+            root = _trusted(tuple([(i, c) for i in range(-b, b + 1) if (c := draw())]), shift)
         _fill_component(values, report, root)
     return tuple(values)
 

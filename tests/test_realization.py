@@ -171,6 +171,16 @@ def test_verify_rejects_malformed_certificates():
         verify(cert, samples=-3)
 
 
+def test_check_subset_rejects_bool_and_float_samples():
+    # True would sample once and 2.0 would fail inside range()
+    cert = realize(Configuration(2, [0b11]))
+    for samples in (True, 2.0):
+        with pytest.raises(ValueError, match="samples must be a nonnegative integer"):
+            realization.check_subset(cert, 0b11, samples=samples)
+        with pytest.raises(ValueError, match="samples"):
+            verify(cert, samples=samples)
+
+
 def test_verify_checks_samples_against_constituents(monkeypatch):
     cert = realize(Configuration(3, range(1, 8)))
     target = 0b101

@@ -30,16 +30,14 @@ from configforge import (
     analyze,
     classify_centralizer,
     delta,
-    identity_tuple,
     in_free_abelian_span,
     intersection_spec,
-    is_finitely_generated,
     nonfg_witness,
     realize_atom,
     sample,
-    tuple_inverse,
-    tuple_multiply,
 )
+from configforge.subgroups import (identity_tuple, is_finitely_generated, tuple_inverse,
+                                  tuple_multiply)
 
 
 def chain_twist_spec(n):
@@ -269,15 +267,6 @@ def test_perturbed_samples_are_rejected():
         checked += 1
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2**64), st.integers(0, 127), st.integers(0, 3000))
-def test_batched_draws_equal_randint_stream(seed, bound, count):
-    rng = random.Random(seed)
-    expected = [rng.randint(-bound, bound) for _ in range(count)]
-    draws = subgroups._draws(random.Random(seed), count, bound)
-    assert [d - bound for d in draws] == expected
-
-
 def test_analyze_builds_no_generator_and_sample_builds_each_once(monkeypatch):
     # a shifted self-loop on 1 and a two-edge cycle on 2-3 with a shifted
     # holonomy: two Cyclic components
@@ -308,8 +297,9 @@ def test_analyze_builds_no_generator_and_sample_builds_each_once(monkeypatch):
 
 def test_sample_size_bound_limits():
     spec = chain_twist_spec(3)
-    assert spec.member(sample(spec, seed=1, size_bound=127))
-    for bound in (128, -1):
+    for bound in (127, 128, 300):
+        assert spec.member(sample(spec, seed=1, size_bound=bound))
+    for bound in (-1, 2.0, True):
         with pytest.raises(ValueError, match="size_bound"):
             sample(spec, seed=1, size_bound=bound)
 
@@ -569,6 +559,32 @@ def test_analyze_matches_reference_field_by_field(spec):
     assert len(reports) == len(expected)
     for got, want in zip(reports, expected):
         assert _report_fields(got) == _report_fields(want)
+
+
+def reference_sample(spec, seed, b):
+    """``sample`` as its docstring states it: one ``randint(-b, b)`` per
+    value, in component order, a FullFactor root's shift before its
+    coefficients."""
+    rng = random.Random(seed)
+    values = [IDENTITY] * spec.m
+    for report in analyze(spec):
+        if report.classification == TRIVIAL:
+            continue
+        if report.classification == CYCLIC:
+            root = report.centralizer.generator ** rng.randint(-b, b)
+        else:
+            shift = rng.randint(-b, b) if report.classification == FULL_FACTOR else 0
+            root = WreathElement({i: rng.randint(-b, b) for i in range(-b, b + 1)}, shift)
+        for node in report.nodes:
+            values[node - 1] = report.tree_auts[node](root)
+    return tuple(values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_specs(), st.integers(0, 2**64), st.integers(0, 300))
+def test_sample_equals_randint_reference(spec, seed, bound):
+    # bounds from 128 up draw more than 8 bits per value
+    assert sample(spec, seed, bound) == reference_sample(spec, seed, bound)
 
 
 def _old_constraint_key(edge):
