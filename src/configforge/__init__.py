@@ -26,7 +26,6 @@ from .realization import (
     verify,
 )
 from .subgroups import (
-    TRIVIAL,
     Edge,
     SubgroupSpec,
     analyze,
@@ -40,6 +39,7 @@ from .wreath import (
     FULL_FACTOR,
     IDENTITY,
     IDENTITY_AUT,
+    TRIVIAL,
     WHOLE_GROUP,
     CentralizerClass,
     ConjugationAut,

@@ -30,10 +30,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .configuration import Configuration, format_subset, mask_elements, subset_mask
-from .subgroups import (TRIVIAL, ComponentReport, Edge, SubgroupSpec, _fill_component, analyze,
-                        sample)
-from .wreath import (BASE_NOT_FG, CYCLIC, FULL_FACTOR, IDENTITY, IDENTITY_AUT, ConjugationAut,
-                     WreathElement, _entries, _excerpt, _is_int, delta)
+from .subgroups import ComponentReport, Edge, SubgroupSpec, _fill_component, analyze, sample
+from .wreath import (IDENTITY, IDENTITY_AUT, ConjugationAut, WreathElement, _entries, _excerpt,
+                     _is_int, delta)
 
 # the fixed twist used by every construction: conjugation by a generator
 # of the base, whose fixed set is exactly the base
@@ -153,8 +152,8 @@ def _subset_analysis(spec: SubgroupSpec, mask: int) -> SubsetReport:
     components = analyze(spec)
     return SubsetReport(
         mask,
-        all(c.fg for c in components),
-        tuple((c.size, c.classification) for c in components),
+        all(c.centralizer.finitely_generated for c in components),
+        tuple((len(c.nodes), c.centralizer.tag) for c in components),
     )
 
 
@@ -167,45 +166,17 @@ def realize(config: Configuration) -> RealizationCertificate:
     return RealizationCertificate(config, specs[0].m, specs, reports)
 
 
-def _root_is_trivial(report: ComponentReport) -> bool:
-    """Whether the component's root ranges over the trivial group only:
-    it is Trivial, or Cyclic with no head."""
-    return report.classification == TRIVIAL or (
-        report.classification == CYCLIC and report.centralizer.head is None)
-
-
-def _edge_holds(report: ComponentReport, a_src: WreathElement, h: WreathElement,
-                a_dst: WreathElement) -> bool:
-    """Whether g_dst = h g_src h^-1 holds on every member of a component
-    whose root ranges over a nontrivial class C, given the tree
-    conjugators a_src and a_dst of the edge's endpoints.
-
-    A member puts a_v r a_v^-1 at v for a root value r in C, so the edge
-    holds exactly when g = a_dst^-1 h a_src commutes with all of C.
-    FullFactor (C is the whole group, whose centre is trivial) asks g = 1,
-    that is h a_src = a_dst.  BaseNotFG (C is the base) asks g to have
-    shift 0, and shifts add under multiplication.  Cyclic C = C(head) is
-    abelian and holds the head, so g commutes with all of C exactly when
-    it commutes with the head.
-    """
-    tag = report.classification
-    if tag == FULL_FACTOR:
-        return h * a_src == a_dst
-    if tag == BASE_NOT_FG:
-        return h.shift + a_src.shift == a_dst.shift
-    return tag == CYCLIC and report.centralizer.head.commutes_with(a_dst.inverse() * h * a_src)
-
-
 def _constraints_hold(cert: RealizationCertificate, mask: int,
                       components: Sequence[ComponentReport]) -> bool:
     """Whether every member of the intersection as ``components`` describe
     it satisfies each pin and edge of every constituent spec in ``mask``.
 
     The components must partition 1..m.  An edge must join two nodes of
-    one component, and hold on it by ``_edge_holds`` unless its root is
-    trivial; a pin must fall in a component whose root is trivial.  The
-    constituents' own constraints are tested, not the intersection's, so
-    the check does not rely on the intersection builder either.
+    one component, and hold on it by its class's ``edge_holds`` unless the
+    class is trivial; a pin must fall in a component whose class is
+    trivial.  The constituents' own constraints are tested, not the
+    intersection's, so the check does not rely on the intersection builder
+    either.
     """
     m = cert.ambient_m
     owner = {node: report for report in components for node in report.nodes}
@@ -213,7 +184,7 @@ def _constraints_hold(cert: RealizationCertificate, mask: int,
             or owner.keys() != set(range(1, m + 1))):
         return False
     # the nodes of components whose root is not trivial
-    free = {node for report in components if not _root_is_trivial(report)
+    free = {node for report in components if not report.centralizer.is_trivial
             for node in report.nodes}
     for j in mask_elements(mask):
         spec = cert.specs[j - 1]
@@ -226,8 +197,8 @@ def _constraints_hold(cert: RealizationCertificate, mask: int,
             if src not in free:
                 continue
             auts = report.tree_auts
-            if not _edge_holds(report, auts[src].conjugator, label.conjugator,
-                               auts[dst].conjugator):
+            if not report.centralizer.edge_holds(auts[src].conjugator, label.conjugator,
+                                                 auts[dst].conjugator):
                 return False
     return True
 

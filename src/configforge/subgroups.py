@@ -21,17 +21,18 @@ import random
 from dataclasses import dataclass
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .wreath import (
-    BASE_NOT_FG,
     CYCLIC,
     FULL_FACTOR,
     IDENTITY,
     IDENTITY_AUT,
+    TRIVIAL,
     CentralizerClass,
     ConjugationAut,
     WreathElement,
+    _TRIVIAL_CLASS,
     _entries,
     _excerpt,
     _is_int,
@@ -40,8 +41,6 @@ from .wreath import (
     delta,
     in_free_abelian_span,
 )
-
-TRIVIAL = "Trivial"
 
 
 class Edge(NamedTuple):
@@ -200,21 +199,30 @@ class ComponentReport(NamedTuple):
     ``tree_auts`` maps each node to the automorphism expressing its
     coordinate in terms of the root value; ``holonomy`` lists one
     conjugator per independent cycle, expressed at the root (the cycle of
-    a repeated constraint gives the identity or a repeat).  A Trivial
-    report carries neither: its ``tree_auts`` is empty and its ``holonomy``
-    is ``()``, since every coordinate of a pinned component is the
-    identity, and its ``centralizer`` is None.  Reports are cached by
-    ``analyze``, so they are immutable: ``tree_auts`` is a read-only
-    mapping, and a centralizer builds its generator once, on first use.
+    a repeated constraint gives the identity or a repeat).  ``centralizer``
+    is the class the root ranges over, and the only record of it:
+    ``classification`` is its tag and ``fg`` its finite-generation
+    verdict.  A pinned component's class is Trivial, and its report
+    carries no automorphisms: its ``tree_auts`` is empty and its
+    ``holonomy`` is ``()``, since every coordinate is the identity.
+    Reports are cached by ``analyze``, so they are immutable:
+    ``tree_auts`` is a read-only mapping, and a centralizer builds its
+    generator once, on first use.
     """
 
     nodes: frozenset[int]
     root: int
     tree_auts: Mapping[int, ConjugationAut]
     holonomy: tuple[WreathElement, ...]
-    classification: str
-    centralizer: Optional[CentralizerClass]
-    fg: bool
+    centralizer: CentralizerClass
+
+    @property
+    def classification(self) -> str:
+        return self.centralizer.tag
+
+    @property
+    def fg(self) -> bool:
+        return self.centralizer.finitely_generated
 
     @property
     def size(self) -> int:
@@ -229,9 +237,9 @@ def _isolated(i: int, pinned: bool) -> ComponentReport:
     """Report of coordinate ``i`` when no edge names it, shared by every
     spec: Trivial if pinned, else a free copy of G."""
     if pinned:
-        return ComponentReport(frozenset((i,)), i, _NO_AUTS, (), TRIVIAL, None, True)
+        return ComponentReport(frozenset((i,)), i, _NO_AUTS, (), _TRIVIAL_CLASS)
     return ComponentReport(frozenset((i,)), i, MappingProxyType({i: IDENTITY_AUT}), (),
-                           FULL_FACTOR, classify_centralizer(()), True)
+                           classify_centralizer(()))
 
 
 @functools.lru_cache(maxsize=8192)
@@ -241,9 +249,10 @@ def analyze(spec: SubgroupSpec) -> tuple[ComponentReport, ...]:
     Components are rooted at their smallest coordinate and discovered in
     ascending root order; the breadth-first tree visits neighbours in
     ascending index (ties by edge input order) and the remaining edges
-    contribute holonomy conjugators in input order.  A pinned component is
-    Trivial, and it is recognised from its node set alone, before any
-    automorphism is built; otherwise its class is that of the joint
+    contribute holonomy conjugators in input order.  Each report's
+    ``centralizer`` is the class its root ranges over.  A pinned
+    component's is the shared Trivial class, recognised from its node set
+    alone, before any automorphism is built; otherwise it is the joint
     centralizer of the holonomies: FullFactor (a free copy of G), Cyclic,
     or BaseNotFG (not finitely generated).
 
@@ -283,7 +292,7 @@ def analyze(spec: SubgroupSpec) -> tuple[ComponentReport, ...]:
                     tree.append((u, v, k, forward))
         nodes = frozenset(order)
         if not nodes.isdisjoint(pins):
-            reports.append(ComponentReport(nodes, root, _NO_AUTS, (), TRIVIAL, None, True))
+            reports.append(ComponentReport(nodes, root, _NO_AUTS, (), _TRIVIAL_CLASS))
             continue
         auts: dict[int, ConjugationAut] = {root: IDENTITY_AUT}
         for u, v, k, forward in tree:
@@ -295,16 +304,8 @@ def analyze(spec: SubgroupSpec) -> tuple[ComponentReport, ...]:
             e = spec.edges[k]
             holonomy.append(auts[e.dst].conjugator.inverse() * e.label.conjugator
                             * auts[e.src].conjugator)
-        cclass = classify_centralizer(holonomy)
-        reports.append(ComponentReport(
-            nodes=nodes,
-            root=root,
-            tree_auts=MappingProxyType(auts),
-            holonomy=tuple(holonomy),
-            classification=cclass.tag,
-            centralizer=cclass,
-            fg=cclass.finitely_generated,
-        ))
+        reports.append(ComponentReport(nodes, root, MappingProxyType(auts), tuple(holonomy),
+                                       classify_centralizer(holonomy)))
     return tuple(reports)
 
 
@@ -351,12 +352,13 @@ def sample(spec: SubgroupSpec, seed: int = 0, size_bound: int = 2) -> tuple[Wrea
 
     values = [IDENTITY] * spec.m
     for report in analyze(spec):
-        if report.classification == TRIVIAL:
+        cclass = report.centralizer
+        if cclass.tag == TRIVIAL:
             continue
-        if report.classification == CYCLIC:
-            root = report.centralizer.generator ** draw()
+        if cclass.tag == CYCLIC:
+            root = cclass.generator ** draw()
         else:
-            shift = draw() if report.classification == FULL_FACTOR else 0
+            shift = draw() if cclass.tag == FULL_FACTOR else 0
             # canonical: ascending indices, zero coefficients dropped
             root = _trusted(tuple([(i, c) for i in range(-b, b + 1) if (c := draw())]), shift)
         _fill_component(values, report, root)
@@ -392,11 +394,7 @@ def nonfg_witness(spec: SubgroupSpec,
     reached.
     """
     candidates = tuple(tuple(c) for c in candidates)
-    target = None
-    for report in analyze(spec):
-        if report.classification == BASE_NOT_FG:
-            target = report
-            break
+    target = next((report for report in analyze(spec) if not report.fg), None)
     if target is None:
         raise ValueError("subgroup is finitely generated: no BaseNotFG component")
     for candidate in candidates:

@@ -241,6 +241,7 @@ IDENTITY_AUT = ConjugationAut()
 FULL_FACTOR = "FullFactor"
 CYCLIC = "Cyclic"
 BASE_NOT_FG = "BaseNotFG"
+TRIVIAL = "Trivial"
 # aliases kept for callers of the earlier names
 WHOLE_GROUP = FULL_FACTOR
 BASE_ONLY = BASE_NOT_FG
@@ -248,19 +249,25 @@ BASE_ONLY = BASE_NOT_FG
 
 @dataclass(frozen=True)
 class CentralizerClass:
-    """Isomorphism type of a joint centralizer in Z wr Z.
+    """The subgroup of Z wr Z that a component's root ranges over.
 
     FullFactor: no constraint at all, the centralizer is the full group.
     Cyclic:     C(head) for a ``head`` of nonzero shift, infinite cyclic
                 (with no head, the trivial group); decided without a
                 generator, which ``generator`` builds on first use.
     BaseNotFG:  the whole free abelian base, hence not finitely generated.
+    Trivial:    a pinned component's root, the identity only.
+
+    Any other tag is refused.  Every class but BaseNotFG is finitely
+    generated.
     """
 
     tag: str
     head: Optional[WreathElement] = None
 
     def __post_init__(self):
+        if self.tag not in (FULL_FACTOR, CYCLIC, BASE_NOT_FG, TRIVIAL):
+            raise ValueError(f"unknown centralizer class {_excerpt(self.tag)}")
         if self.head is not None and (self.tag != CYCLIC or not self.head.shift):
             raise ValueError("only a Cyclic class has a head, and its shift is nonzero")
 
@@ -268,12 +275,19 @@ class CentralizerClass:
     def finitely_generated(self) -> bool:
         return self.tag != BASE_NOT_FG
 
+    @property
+    def is_trivial(self) -> bool:
+        """Whether the class is the trivial group: Trivial, or Cyclic with
+        no head."""
+        return self.tag == TRIVIAL or self.tag == CYCLIC and self.head is None
+
     @cached_property
     def generator(self) -> Optional[WreathElement]:
-        """A Cyclic class's generator (the identity if trivial), else None."""
+        """The generator of a Cyclic or Trivial class (the identity if the
+        class is trivial), else None."""
         if self.head is not None:
             return cyclic_centralizer_generator(self.head)
-        return IDENTITY if self.tag == CYCLIC else None
+        return IDENTITY if self.is_trivial else None
 
     def contains(self, x: WreathElement) -> bool:
         """Membership predicate of the classified subgroup."""
@@ -283,11 +297,33 @@ class CentralizerClass:
             return x.shift == 0
         return x.is_identity if self.head is None else self.head.commutes_with(x)
 
+    def edge_holds(self, a_src: WreathElement, h: WreathElement, a_dst: WreathElement) -> bool:
+        """Whether g = a_dst^-1 h a_src commutes with every element of the
+        class.
 
-# the classes that carry no data, shared by every classification
+        This is the edge g_dst = h g_src h^-1 of a component whose root
+        ranges over the class, with tree conjugators a_src and a_dst at
+        its endpoints: a member puts a_v r a_v^-1 at v for a root value r.
+        FullFactor (the whole group, whose centre is trivial) asks g = 1,
+        that is h a_src = a_dst.  BaseNotFG (the base) asks g to have
+        shift 0, and shifts add under multiplication.  Cyclic C(head) is
+        abelian and holds the head, so g commutes with all of it exactly
+        when it commutes with the head.  The trivial group commutes with
+        everything.
+        """
+        tag = self.tag
+        if tag == FULL_FACTOR:
+            return h * a_src == a_dst
+        if tag == BASE_NOT_FG:
+            return h.shift + a_src.shift == a_dst.shift
+        return self.head is None or self.head.commutes_with(a_dst.inverse() * h * a_src)
+
+
+# the classes that carry no data, shared by every classification and report
 _FULL_FACTOR_CLASS = CentralizerClass(FULL_FACTOR)
 _BASE_NOT_FG_CLASS = CentralizerClass(BASE_NOT_FG)
 _TRIVIAL_CYCLIC_CLASS = CentralizerClass(CYCLIC)
+_TRIVIAL_CLASS = CentralizerClass(TRIVIAL)
 
 # most terms a centralizer generator may have; the shift and the distance
 # between two indices of a constraint, not its encoded size, set the count

@@ -179,7 +179,8 @@ def test_pinned_component_carries_no_automorphisms_and_stays_identity():
     assert (pinned.nodes, pinned.classification) == (frozenset({1, 2}), TRIVIAL)
     assert dict(pinned.tree_auts) == {}
     assert pinned.holonomy == ()
-    assert pinned.centralizer is None and pinned.fg is True
+    assert pinned.centralizer.tag == TRIVIAL and pinned.fg is True
+    assert pinned.centralizer.is_trivial
     assert set(free.tree_auts) == {3, 4}
     for seed in range(5):
         value = sample(spec, seed=seed)
@@ -503,7 +504,7 @@ def reference_analyze(spec):
         nodes = frozenset(order)
         if not nodes.isdisjoint(spec.pins):
             reports.append(subgroups.ComponentReport(
-                nodes, root, MappingProxyType({}), (), TRIVIAL, None, True))
+                nodes, root, MappingProxyType({}), (), wreath.CentralizerClass(TRIVIAL)))
             continue
         auts = {root: IDENTITY_AUT}
         for u, v, k, forward in tree:
@@ -517,8 +518,7 @@ def reference_analyze(spec):
                             * auts[e.src].conjugator)
         cclass = classify_centralizer(holonomy)
         reports.append(subgroups.ComponentReport(
-            nodes, root, MappingProxyType(auts), tuple(holonomy), cclass.tag,
-            cclass, cclass.tag != BASE_NOT_FG))
+            nodes, root, MappingProxyType(auts), tuple(holonomy), cclass))
     return tuple(reports)
 
 

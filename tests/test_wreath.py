@@ -13,6 +13,7 @@ from configforge import (
     BASE_ONLY,
     CYCLIC,
     IDENTITY,
+    TRIVIAL,
     WHOLE_GROUP,
     CentralizerClass,
     ConjugationAut,
@@ -153,6 +154,40 @@ def test_classify_matches_box_oracle():
             assert cls.contains(x) == (x in members)
 
 
+def test_edge_rule_matches_box_oracle():
+    """``edge_holds(a_src, h, a_dst)`` is true exactly when
+    a_dst^-1 h a_src commutes, by literal products, with every box member
+    of the class.  The classes are those of random box conjugator sets,
+    each once, FullFactor and Trivial.  Triples come from the radius-1
+    box, half of them built to hold: a_dst = h a_src c with c in the class
+    (c = 1 for FullFactor, whose centre is trivial)."""
+    elements = oracles.box_elements()
+    box = set(elements)
+    small = oracles.box_elements(1)
+    rng = random.Random(23)
+    classes = {classify_centralizer(()), CentralizerClass(TRIVIAL)}
+    for _ in range(300):
+        conjugators = [elements[rng.randrange(len(elements))]
+                       for _ in range(rng.randint(1, 3))]
+        classes.add(classify_centralizer(conjugators))
+    checked = 0
+    for cls in sorted(classes, key=repr):
+        if cls.head is not None and cls.generator not in box:
+            continue  # its box members are {1}, which every g commutes with
+        members = sorted(oracles.class_member_set(cls), key=lambda x: (x.shift, x.base))
+        for k in range(40):
+            a_src, h, a_dst = (small[rng.randrange(len(small))] for _ in range(3))
+            if k % 2:
+                c = IDENTITY if cls.tag == WHOLE_GROUP else rng.choice(members)
+                a_dst = h * a_src * c
+            g = a_dst.inverse() * h * a_src
+            expected = all(g * x == x * g for x in members)
+            assert cls.edge_holds(a_src, h, a_dst) == expected, (cls, a_src, h, a_dst)
+            assert expected or not k % 2
+            checked += 1
+    assert checked >= 1000
+
+
 def test_commutation_table_matches_definition():
     elements = oracles.box_elements()
     rng = random.Random(17)
@@ -222,6 +257,19 @@ def test_centralizer_class_contains_base_generator():
         CentralizerClass(CYCLIC, delta(0, 2))
     with pytest.raises(ValueError):
         CentralizerClass(BASE_ONLY, WreathElement({}, 1))
+
+
+def test_centralizer_class_refuses_unknown_tags():
+    # an unknown tag would otherwise pass as a finitely generated trivial group
+    for tag in ("Bogus", "trivial", "", None, 1):
+        with pytest.raises(ValueError, match="unknown centralizer class"):
+            CentralizerClass(tag)
+    with pytest.raises(ValueError):
+        CentralizerClass(TRIVIAL, WreathElement({}, 1))
+    trivial = CentralizerClass(TRIVIAL)
+    assert trivial.finitely_generated and trivial.is_trivial
+    assert trivial.generator == IDENTITY
+    assert trivial.contains(IDENTITY) and not trivial.contains(delta(0))
 
 
 def test_cyclic_generator_term_limit(monkeypatch):
