@@ -196,9 +196,8 @@ def _constraints_hold(cert: RealizationCertificate, mask: int,
                 return False
             if src not in free:
                 continue
-            auts = report.tree_auts
-            if not report.centralizer.edge_holds(auts[src].conjugator, label.conjugator,
-                                                 auts[dst].conjugator):
+            conj = report.conjugators
+            if not report.centralizer.edge_holds(conj[src], label.conjugator, conj[dst]):
                 return False
     return True
 
@@ -286,7 +285,9 @@ class PermutationalAut:
 
     ``perm`` lists the image of each position (1-based), ``labels`` the
     per-position twist: the induced map sends (x_1, ..., x_k) to the tuple
-    with labels_j(x_j) at position perm_j.
+    with labels_j(x_j) at position perm_j.  A perm entry that is not an
+    integer, or a label that is not a ``ConjugationAut``, is refused by its
+    position.
     """
 
     __slots__ = ("k", "perm", "labels")
@@ -295,6 +296,9 @@ class PermutationalAut:
                  labels: Optional[Sequence[ConjugationAut]] = None):
         perm = tuple(perm)
         k = len(perm)
+        for position, j in enumerate(perm):
+            if not _is_int(j):
+                raise ValueError(f"perm entry {position}: {_excerpt(j)} is not an integer")
         if sorted(perm) != list(range(1, k + 1)):
             raise ValueError(f"perm {perm!r} is not a bijection of 1..{k}")
         if labels is None:
@@ -302,6 +306,9 @@ class PermutationalAut:
         labels = tuple(labels)
         if len(labels) != k:
             raise ValueError("labels must match the permutation length")
+        for position, label in enumerate(labels):
+            if not isinstance(label, ConjugationAut):
+                raise ValueError(f"label {position}: {_excerpt(label)} is not a ConjugationAut")
         self.k = k
         self.perm = perm
         self.labels = labels
@@ -365,7 +372,7 @@ def embed_orbit_roots(aut: PermutationalAut,
 
     Each root must commute with its orbit's holonomy conjugator; the root
     is then carried to every position of the orbit by the spanning-tree
-    automorphisms of ``analyze``.  The assembly is injective and a
+    conjugators of ``analyze``.  The assembly is injective and a
     homomorphism in the roots.
     """
     _, spec = fixed_subgroup(aut)

@@ -7,11 +7,11 @@ subgroups (labels are homomorphisms) and are closed under intersection by
 taking unions of constraints.
 
 The analyzer walks each connected component with a breadth-first spanning
-tree: every coordinate is a fixed automorphism of the root value, and each
-remaining edge contributes a cycle-holonomy conjugator at the root.  The
-component's solution set is the joint centralizer of those conjugators,
-so its classification (and finite generation) is decided exactly by
-``classify_centralizer``.
+tree: every coordinate is the root value conjugated by a fixed tree
+conjugator, and each remaining edge contributes a cycle-holonomy
+conjugator at the root.  The component's solution set is the joint
+centralizer of those holonomies, so its classification (and finite
+generation) is decided exactly by ``classify_centralizer``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .wreath import (
     CYCLIC,
     FULL_FACTOR,
     IDENTITY,
-    IDENTITY_AUT,
     TRIVIAL,
     CentralizerClass,
     ConjugationAut,
@@ -133,8 +132,8 @@ class SubgroupSpec:
         pinned, identities, sources, targets, twisted = plan
         if pinned(values) != identities or sources(values) != targets(values):
             return False
-        for src, dst, label in twisted:
-            x, y = values[dst], label(values[src])
+        for src, dst, h in twisted:
+            x, y = values[dst], h.conjugate(values[src])
             if not (x is y or x == y):
                 return False
         return True
@@ -144,7 +143,7 @@ class SubgroupSpec:
         plain = [e for e in self.edges if e.label.is_identity]
         return (_getter(pins), (IDENTITY,) * len(pins),
                 _getter([e.src - 1 for e in plain]), _getter([e.dst - 1 for e in plain]),
-                tuple((e.src - 1, e.dst - 1, e.label)
+                tuple((e.src - 1, e.dst - 1, e.label.conjugator)
                       for e in self.edges if not e.label.is_identity))
 
     def __eq__(self, other: object) -> bool:
@@ -157,7 +156,7 @@ class SubgroupSpec:
         return self._hash
 
     def __reduce__(self):
-        # rebuild on unpickling: the cached hash holds for this process only
+        # rebuild on unpickling: member's plan holds lambdas, which do not pickle
         return SubgroupSpec, (self.m, self.edges, self.pins)
 
     def __repr__(self) -> str:
@@ -196,23 +195,24 @@ def _edge(entry: object) -> Edge:
 class ComponentReport(NamedTuple):
     """Analysis of one connected component of the constraint graph.
 
-    ``tree_auts`` maps each node to the automorphism expressing its
-    coordinate in terms of the root value; ``holonomy`` lists one
+    ``conjugators`` maps each node v to its spanning-tree conjugator a_v,
+    which expresses its coordinate in terms of the root value r as
+    g_v = a_v r a_v^-1; ``holonomy`` lists one
     conjugator per independent cycle, expressed at the root (the cycle of
     a repeated constraint gives the identity or a repeat).  ``centralizer``
     is the class the root ranges over, and the only record of it:
     ``classification`` is its tag and ``fg`` its finite-generation
     verdict.  A pinned component's class is Trivial, and its report
-    carries no automorphisms: its ``tree_auts`` is empty and its
+    carries no conjugators: its ``conjugators`` is empty and its
     ``holonomy`` is ``()``, since every coordinate is the identity.
     Reports are cached by ``analyze``, so they are immutable:
-    ``tree_auts`` is a read-only mapping, and a centralizer builds its
+    ``conjugators`` is a read-only mapping, and a centralizer builds its
     generator once, on first use.
     """
 
     nodes: frozenset[int]
     root: int
-    tree_auts: Mapping[int, ConjugationAut]
+    conjugators: Mapping[int, WreathElement]
     holonomy: tuple[WreathElement, ...]
     centralizer: CentralizerClass
 
@@ -229,7 +229,7 @@ class ComponentReport(NamedTuple):
         return len(self.nodes)
 
 
-_NO_AUTS: Mapping[int, ConjugationAut] = MappingProxyType({})
+_NO_CONJUGATORS: Mapping[int, WreathElement] = MappingProxyType({})
 
 
 @functools.lru_cache(maxsize=8192)
@@ -237,8 +237,8 @@ def _isolated(i: int, pinned: bool) -> ComponentReport:
     """Report of coordinate ``i`` when no edge names it, shared by every
     spec: Trivial if pinned, else a free copy of G."""
     if pinned:
-        return ComponentReport(frozenset((i,)), i, _NO_AUTS, (), _TRIVIAL_CLASS)
-    return ComponentReport(frozenset((i,)), i, MappingProxyType({i: IDENTITY_AUT}), (),
+        return ComponentReport(frozenset((i,)), i, _NO_CONJUGATORS, (), _TRIVIAL_CLASS)
+    return ComponentReport(frozenset((i,)), i, MappingProxyType({i: IDENTITY}), (),
                            classify_centralizer(()))
 
 
@@ -252,7 +252,7 @@ def analyze(spec: SubgroupSpec) -> tuple[ComponentReport, ...]:
     contribute holonomy conjugators in input order.  Each report's
     ``centralizer`` is the class its root ranges over.  A pinned
     component's is the shared Trivial class, recognised from its node set
-    alone, before any automorphism is built; otherwise it is the joint
+    alone, before any conjugator is built; otherwise it is the joint
     centralizer of the holonomies: FullFactor (a free copy of G), Cyclic,
     or BaseNotFG (not finitely generated).
 
@@ -292,19 +292,18 @@ def analyze(spec: SubgroupSpec) -> tuple[ComponentReport, ...]:
                     tree.append((u, v, k, forward))
         nodes = frozenset(order)
         if not nodes.isdisjoint(pins):
-            reports.append(ComponentReport(nodes, root, _NO_AUTS, (), _TRIVIAL_CLASS))
+            reports.append(ComponentReport(nodes, root, _NO_CONJUGATORS, (), _TRIVIAL_CLASS))
             continue
-        auts: dict[int, ConjugationAut] = {root: IDENTITY_AUT}
+        conj: dict[int, WreathElement] = {root: IDENTITY}
         for u, v, k, forward in tree:
             h = spec.edges[k].label.conjugator
-            auts[v] = ConjugationAut((h if forward else h.inverse()) * auts[u].conjugator)
+            conj[v] = (h if forward else h.inverse()) * conj[u]
         met_edges.difference_update(k for _, _, k, _ in tree)
         holonomy = []
         for k in sorted(met_edges):
             e = spec.edges[k]
-            holonomy.append(auts[e.dst].conjugator.inverse() * e.label.conjugator
-                            * auts[e.src].conjugator)
-        reports.append(ComponentReport(nodes, root, MappingProxyType(auts), tuple(holonomy),
+            holonomy.append(conj[e.dst].inverse() * e.label.conjugator * conj[e.src])
+        reports.append(ComponentReport(nodes, root, MappingProxyType(conj), tuple(holonomy),
                                        classify_centralizer(holonomy)))
     return tuple(reports)
 
@@ -316,8 +315,9 @@ def is_finitely_generated(spec: SubgroupSpec) -> bool:
 def _fill_component(values: list[WreathElement], report: ComponentReport,
                     root_value: WreathElement) -> None:
     """Write the component's coordinates determined by ``root_value``."""
+    conj = report.conjugators
     for node in report.nodes:
-        values[node - 1] = report.tree_auts[node](root_value)
+        values[node - 1] = conj[node].conjugate(root_value)
 
 
 def sample(spec: SubgroupSpec, seed: int = 0, size_bound: int = 2) -> tuple[WreathElement, ...]:

@@ -83,6 +83,23 @@ class WreathElement:
         s = self.shift
         return _trusted(tuple([(i - s, -c) for i, c in self.base]), -s)
 
+    def conjugate(self, x: "WreathElement") -> "WreathElement":
+        """h x h^-1 for h = self, in closed form.
+
+        For h = (a, s) and x = (b, t) that is (s.b + a (1 - x^t), t).  An
+        identity conjugator or argument returns ``x`` itself, and when
+        a = 0 or t = 0 the result is the translate s.b, canonical already;
+        only the remaining case merges and sorts a base, once.
+        """
+        a, s = self.base, self.shift
+        b, t = x.base, x.shift
+        if not a and not s or not b and not t:
+            return x
+        if not a or not t:
+            return _trusted(_translate(b, s), t)
+        return WreathElement(chain(((i + s, c) for i, c in b), a,
+                                   ((i + t, -c) for i, c in a)), t)
+
     def __pow__(self, exponent: int) -> "WreathElement":
         if self.shift == 0:
             return WreathElement([(i, c * exponent) for i, c in self.base])
@@ -182,35 +199,20 @@ def delta(index: int, coeff: int = 1) -> WreathElement:
     return WreathElement([(index, coeff)], 0)
 
 
+@dataclass(frozen=True, slots=True)
 class ConjugationAut:
-    """Inner automorphism x -> h x h^-1 of Z wr Z.
+    """Edge label: the inner automorphism x -> h x h^-1 of Z wr Z.
 
     The center of Z wr Z is trivial, so the conjugator determines the
     automorphism; equality and hashing go through it.  Composition
-    multiplies conjugators: (phi_a . phi_b) = phi_{a b}.
-
-    Applying it uses the closed form h x h^-1 = (s.b + a (1 - x^t), t) for
-    h = (a, s) and x = (b, t).  An identity conjugator or argument returns
-    ``x`` itself, and when a = 0 or t = 0 the result is the translate s.b,
-    canonical already; only the remaining case merges and sorts a base,
-    once.
+    multiplies conjugators: (phi_a . phi_b) = phi_{a b}.  Applying it is
+    ``WreathElement.conjugate``.
     """
 
-    __slots__ = ("conjugator",)
-
-    def __init__(self, conjugator: WreathElement = IDENTITY):
-        self.conjugator = conjugator
+    conjugator: WreathElement = IDENTITY
 
     def __call__(self, x: WreathElement) -> WreathElement:
-        h = self.conjugator
-        a, s = h.base, h.shift
-        b, t = x.base, x.shift
-        if not a and not s or not b and not t:
-            return x
-        if not a or not t:
-            return _trusted(_translate(b, s), t)
-        return WreathElement(chain(((i + s, c) for i, c in b), a,
-                                   ((i + t, -c) for i, c in a)), t)
+        return self.conjugator.conjugate(x)
 
     def __mul__(self, other: "ConjugationAut") -> "ConjugationAut":
         if not isinstance(other, ConjugationAut):
@@ -223,17 +225,6 @@ class ConjugationAut:
     @property
     def is_identity(self) -> bool:
         return self.conjugator.is_identity
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ConjugationAut):
-            return NotImplemented
-        return self.conjugator == other.conjugator
-
-    def __hash__(self) -> int:
-        return hash(("ConjugationAut", self.conjugator))
-
-    def __repr__(self) -> str:
-        return f"ConjugationAut({self.conjugator!r})"
 
 
 IDENTITY_AUT = ConjugationAut()

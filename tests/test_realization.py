@@ -530,6 +530,21 @@ def test_permutational_aut_validation():
         PermutationalAut([2, 1]).apply((IDENTITY,))
 
 
+@pytest.mark.parametrize("perm, labels, message", [
+    ([1.0, 2], None, "perm entry 0: 1.0 is not an integer"),
+    ([True], None, "perm entry 0: True is not an integer"),
+    ([2, "1"], None, "perm entry 1: '1' is not an integer"),
+    ([2, 1], [IDENTITY_AUT, delta(0)], "label 1: WreathElement({0: 1}, shift=0) is not a"),
+    ([1], [None], "label 0: None is not a ConjugationAut"),
+])
+def test_permutational_aut_refuses_non_integer_entries_and_non_labels(perm, labels, message):
+    # each used to be accepted, failing only when applied or when
+    # fixed_subgroup built its spec
+    with pytest.raises(ValueError) as excinfo:
+        PermutationalAut(perm, labels)
+    assert str(excinfo.value).startswith(message)
+
+
 def test_embed_orbit_roots_identity_roots():
     aut = PermutationalAut([2, 3, 1])
     roots = {1: IDENTITY}

@@ -156,13 +156,13 @@ def test_analyze_chain_twist_subsets():
 
 def test_analyze_reports_are_immutable():
     report = analyze(chain_twist_spec(2))[0]
-    snapshot = (dict(report.tree_auts), report.classification)
+    snapshot = (dict(report.conjugators), report.classification)
     with pytest.raises(TypeError):
-        report.tree_auts[1] = TWIST_AUT
+        report.conjugators[1] = TWIST_AUT.conjugator
     with pytest.raises(AttributeError):
         report.classification = FULL_FACTOR
     again = analyze(chain_twist_spec(2))[0]
-    assert (dict(again.tree_auts), again.classification) == snapshot
+    assert (dict(again.conjugators), again.classification) == snapshot
 
 
 def test_analyze_pinned_node_wins_over_holonomy():
@@ -177,11 +177,11 @@ def test_pinned_component_carries_no_automorphisms_and_stays_identity():
                             Edge(3, 4, TWIST_AUT)], [2])
     pinned, free = analyze(spec)
     assert (pinned.nodes, pinned.classification) == (frozenset({1, 2}), TRIVIAL)
-    assert dict(pinned.tree_auts) == {}
+    assert dict(pinned.conjugators) == {}
     assert pinned.holonomy == ()
     assert pinned.centralizer.tag == TRIVIAL and pinned.fg is True
     assert pinned.centralizer.is_trivial
-    assert set(free.tree_auts) == {3, 4}
+    assert set(free.conjugators) == {3, 4}
     for seed in range(5):
         value = sample(spec, seed=seed)
         assert value[:2] == (IDENTITY, IDENTITY)
@@ -383,7 +383,7 @@ def test_root_projection_is_bijective_on_full_factor_spec():
         rebuilt = [IDENTITY] * spec.m
         for report, root_value in zip(reports, roots_x):
             for node in report.nodes:
-                rebuilt[node - 1] = report.tree_auts[node](root_value)
+                rebuilt[node - 1] = report.conjugators[node].conjugate(root_value)
         assert tuple(rebuilt) == x
 
 
@@ -477,6 +477,18 @@ def test_spec_unpickled_from_another_process_hashes_like_a_fresh_one():
     assert analyze(spec) is analyze(fresh)
 
 
+def test_spec_pickles_after_member_builds_its_plan():
+    # member's plan holds lambdas; a spec that has one must pickle all the same
+    spec = SubgroupSpec(3, [Edge(1, 2, TWIST_AUT), Edge(2, 3, IDENTITY_AUT)], [3])
+    tuples = [sample(spec, seed=seed) for seed in range(3)]
+    tuples += [(delta(0), delta(0), IDENTITY), (WreathElement({}, 1),) * 2 + (IDENTITY,)]
+    verdicts = [spec.member(values) for values in tuples]
+    assert spec._plan is not None and True in verdicts and False in verdicts
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec and hash(copy) == hash(spec)
+    assert [copy.member(values) for values in tuples] == verdicts
+
+
 def reference_analyze(spec):
     """``analyze`` as it was before isolated coordinates were shared: a BFS
     from every coordinate 1..m, each report built afresh."""
@@ -506,25 +518,24 @@ def reference_analyze(spec):
             reports.append(subgroups.ComponentReport(
                 nodes, root, MappingProxyType({}), (), wreath.CentralizerClass(TRIVIAL)))
             continue
-        auts = {root: IDENTITY_AUT}
+        conj = {root: IDENTITY}
         for u, v, k, forward in tree:
             h = spec.edges[k].label.conjugator
-            auts[v] = ConjugationAut((h if forward else h.inverse()) * auts[u].conjugator)
+            conj[v] = (h if forward else h.inverse()) * conj[u]
         met_edges.difference_update(k for _, _, k, _ in tree)
         holonomy = []
         for k in sorted(met_edges):
             e = spec.edges[k]
-            holonomy.append(auts[e.dst].conjugator.inverse() * e.label.conjugator
-                            * auts[e.src].conjugator)
+            holonomy.append(conj[e.dst].inverse() * e.label.conjugator * conj[e.src])
         cclass = classify_centralizer(holonomy)
         reports.append(subgroups.ComponentReport(
-            nodes, root, MappingProxyType(auts), tuple(holonomy), cclass))
+            nodes, root, MappingProxyType(conj), tuple(holonomy), cclass))
     return tuple(reports)
 
 
 def _report_fields(report):
     return (report.nodes, report.root,
-            {i: aut.conjugator for i, aut in report.tree_auts.items()},
+            dict(report.conjugators),
             report.holonomy, report.classification, report.centralizer, report.fg)
 
 
@@ -576,7 +587,7 @@ def reference_sample(spec, seed, b):
             shift = rng.randint(-b, b) if report.classification == FULL_FACTOR else 0
             root = WreathElement({i: rng.randint(-b, b) for i in range(-b, b + 1)}, shift)
         for node in report.nodes:
-            values[node - 1] = report.tree_auts[node](root)
+            values[node - 1] = report.conjugators[node].conjugate(root)
     return tuple(values)
 
 

@@ -343,6 +343,31 @@ def test_conjugation_matches_long_form(h, x):
     assert got == _long_product(_long_product(h, x), _long_inverse(h))
 
 
+# one (conjugator, argument) pair per branch of WreathElement.conjugate
+_CONJUGATE_SHORTCUTS = {
+    "identity-conjugator": (IDENTITY, WreathElement({0: 1, 2: -1}, 1)),
+    "identity-argument": (WreathElement({0: 1, 1: 2}, -1), IDENTITY),
+    "empty-base-conjugator": (WreathElement({}, 2), WreathElement({-1: 3, 1: 1}, -1)),
+    "shift-zero-argument": (WreathElement({0: 1}, 3), WreathElement({0: 2, 4: -1})),
+    # the merge cancels the coefficient at index 0
+    "general-merge": (WreathElement({0: 1}, 1), WreathElement({-1: -1}, 1)),
+    # an empty base alone is no identity: this one merges too
+    "shift-only-argument": (WreathElement({0: 1}, 1), WreathElement({}, 2)),
+}
+
+
+@pytest.mark.parametrize("case", [*_CONJUGATE_SHORTCUTS, "random"])
+def test_conjugate_equals_product(case):
+    rng = random.Random(24)
+    pairs = ([(oracles.random_element(rng), oracles.random_element(rng)) for _ in range(300)]
+             if case == "random" else [_CONJUGATE_SHORTCUTS[case]])
+    for h, x in pairs:
+        got = h.conjugate(x)
+        _assert_canonical(got)
+        assert got == h * x * h.inverse(), (h, x)
+        assert ConjugationAut(h)(x) == got
+
+
 @settings(max_examples=300, deadline=None)
 @given(elements, elements)
 def test_product_and_inverse_canonical(x, y):
