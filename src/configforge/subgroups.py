@@ -82,6 +82,9 @@ class SubgroupSpec:
             if not (_is_int(src) and _is_int(dst) and 1 <= src <= m and 1 <= dst <= m):
                 raise ValueError(f"edge {position}: endpoints {_excerpt(src)}->{_excerpt(dst)} "
                                  f"must be integers in 1..{m}")
+            if not isinstance(edge.label, ConjugationAut):
+                raise ValueError(f"edge {position}: label {_excerpt(edge.label)} "
+                                 "is not a ConjugationAut")
         self.m = m
         self.edges: tuple[Edge, ...] = edges
         self.pins = frozenset(pins)

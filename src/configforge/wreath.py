@@ -28,6 +28,7 @@ and summing along those classes.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -43,9 +44,13 @@ class WreathElement:
 
     The base is stored as a tuple of (index, coefficient) pairs, sorted by
     index, with no zero coefficients, so equality and hashing are
-    structural.  The constructor is the one place a base is put into that
-    form: duplicate indices are summed, zero coefficients dropped and the
-    pairs sorted.
+    structural.  The constructor puts any input into that form: duplicate
+    indices are summed, zero coefficients dropped and the pairs sorted.
+    Operations on canonical operands skip it where the result's order is
+    known: a translate or negation (``inverse``, a product or conjugate
+    with an empty base on one side), a power's translates laid out in
+    order when they are disjoint (``**``), and the few terms of a small
+    conjugator added into the argument one by one (``conjugate``).
     """
 
     __slots__ = ("base", "shift")
@@ -88,8 +93,9 @@ class WreathElement:
 
         For h = (a, s) and x = (b, t) that is (s.b + a (1 - x^t), t).  An
         identity conjugator or argument returns ``x`` itself, and when
-        a = 0 or t = 0 the result is the translate s.b, canonical already;
-        only the remaining case merges and sorts a base, once.
+        a = 0 or t = 0 the result is the translate s.b, canonical already.
+        Otherwise the 2|a| terms of a (1 - x^t) are added into s.b one by
+        one while a has few terms, and merged by the constructor past that.
         """
         a, s = self.base, self.shift
         b, t = x.base, x.shift
@@ -97,6 +103,9 @@ class WreathElement:
             return x
         if not a or not t:
             return _trusted(_translate(b, s), t)
+        if len(a) <= _INSERT_MAX_TERMS:
+            return _trusted(_add_terms([(i + s, c) for i, c in b],
+                                       chain(a, [(i + t, -c) for i, c in a])), t)
         return WreathElement(chain(((i + s, c) for i, c in b), a,
                                    ((i + t, -c) for i, c in a)), t)
 
@@ -104,10 +113,13 @@ class WreathElement:
         if self.shift == 0:
             return WreathElement([(i, c * exponent) for i, c in self.base])
         factor = self if exponent >= 0 else self.inverse()
-        s = factor.shift
+        b, s, k = factor.base, factor.shift, abs(exponent)
         # (b, s)^k = (b + s.b + ... + (k-1)s.b, k s)
-        return WreathElement([(i + j * s, c) for i, c in factor.base
-                              for j in range(abs(exponent))], s * abs(exponent))
+        if b and abs(s) > b[-1][0] - b[0][0]:
+            # the translates are disjoint: lay them out in index order
+            steps = range(k) if s > 0 else range(k - 1, -1, -1)
+            return _trusted(tuple([(i + j * s, c) for j in steps for i, c in b]), s * k)
+        return WreathElement([(i + j * s, c) for i, c in b for j in range(k)], s * k)
 
     def commutes_with(self, other: "WreathElement") -> bool:
         # (w, s) and (v, t) commute iff v (1 - x^s) = w (1 - x^t)
@@ -184,6 +196,34 @@ def _trusted(base: tuple[tuple[int, int], ...], shift: int) -> WreathElement:
     return element
 
 
+# most base terms of a conjugator that ``conjugate`` adds into its argument
+# one by one.  Each addition is a bisect and a list insert that may move the
+# argument's whole list, so two large operands would cost the product of
+# their sizes; past a few terms the constructor's one merge is as fast even
+# on small arguments
+_INSERT_MAX_TERMS = 8
+
+
+def _add_terms(out: list[tuple[int, int]], terms: BasePairs) -> tuple[tuple[int, int], ...]:
+    """The canonical base ``out``, a list it consumes, plus a few nonzero
+    ``terms``, canonical.
+
+    Each term is summed into the pair at its index, which is deleted when
+    it cancels, or else inserted in index order.
+    """
+    for i, c in terms:
+        p = bisect_left(out, (i,))  # (i,) sorts before every (i, c)
+        if p < len(out) and out[p][0] == i:
+            c += out[p][1]
+            if c:
+                out[p] = (i, c)
+            else:
+                del out[p]
+        else:
+            out.insert(p, (i, c))
+    return tuple(out)
+
+
 def _translate(base: tuple[tuple[int, int], ...], offset: int) -> tuple[tuple[int, int], ...]:
     """The base shifted by ``offset``; translation keeps it canonical."""
     if not offset:
@@ -210,6 +250,10 @@ class ConjugationAut:
     """
 
     conjugator: WreathElement = IDENTITY
+
+    def __post_init__(self):
+        if not isinstance(self.conjugator, WreathElement):
+            raise ValueError(f"conjugator {_excerpt(self.conjugator)} is not a WreathElement")
 
     def __call__(self, x: WreathElement) -> WreathElement:
         return self.conjugator.conjugate(x)

@@ -121,6 +121,20 @@ def test_constructor_rejects_non_integer_endpoints(endpoints):
         SubgroupSpec(2, [Edge(*endpoints, IDENTITY_AUT)])
 
 
+@pytest.mark.parametrize("label, message", [
+    (delta(0), "edge 1: label WreathElement({0: 1}, shift=0) is not a ConjugationAut"),
+    (None, "edge 1: label None is not a ConjugationAut"),
+    ("x" * 200, "edge 1: label 'xxx"),
+])
+def test_constructor_refuses_labels_that_are_not_conjugation_auts(label, message):
+    # a bare element used to be accepted, and analyze then raised
+    # AttributeError on its missing conjugator
+    with pytest.raises(ValueError) as excinfo:
+        SubgroupSpec(2, [Edge(1, 2, IDENTITY_AUT), Edge(1, 2, label)])
+    assert str(excinfo.value).startswith(message)
+    assert len(str(excinfo.value)) < 140
+
+
 def test_constructor_rejects_non_integer_pins():
     for pins in ([True], ["1"], [[1]]):
         with pytest.raises(ValueError):

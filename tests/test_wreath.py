@@ -103,6 +103,13 @@ def test_apply_aut_on_shift():
         WreathElement({0: 1, 1: -1}, 1)
 
 
+@pytest.mark.parametrize("conjugator", [5, None, {0: 1}, ConjugationAut(delta(0))])
+def test_conjugation_aut_refuses_a_conjugator_that_is_not_an_element(conjugator):
+    # each used to be accepted, failing only when applied
+    with pytest.raises(ValueError, match="is not a WreathElement"):
+        ConjugationAut(conjugator)
+
+
 def test_aut_homomorphism_and_composition():
     rng = random.Random(7)
     for _ in range(100):
@@ -353,6 +360,13 @@ _CONJUGATE_SHORTCUTS = {
     "general-merge": (WreathElement({0: 1}, 1), WreathElement({-1: -1}, 1)),
     # an empty base alone is no identity: this one merges too
     "shift-only-argument": (WreathElement({0: 1}, 1), WreathElement({}, 2)),
+    # the conjugator's term at 0 cancels the argument's translated term
+    "insert-cancels": (WreathElement({0: 2, 3: 1}, 1), WreathElement({-1: -2, 5: 1}, 2)),
+    "insert-before-first": (WreathElement({-5: 1}, 0), WreathElement({0: 1, 2: 1}, 1)),
+    "insert-after-last": (WreathElement({9: 1, 12: -1}, 0), WreathElement({0: 1, 2: 1}, -1)),
+    "conjugator-past-cutoff": (
+        WreathElement({i: 1 for i in range(wreath._INSERT_MAX_TERMS + 1)}, 1),
+        WreathElement({0: 1, 4: -1}, 3)),
 }
 
 
@@ -366,6 +380,36 @@ def test_conjugate_equals_product(case):
         _assert_canonical(got)
         assert got == h * x * h.inverse(), (h, x)
         assert ConjugationAut(h)(x) == got
+
+
+def test_conjugate_power_and_commutation_stay_fast_on_large_operands():
+    # adding a conjugator's terms one by one into the argument is quadratic
+    # when both are large; past the cut-off conjugate merges them instead
+    n = 1 << 16
+    h = WreathElement({3 * i: 1 for i in range(n)}, 1)
+    x = WreathElement({3 * i + 1: 2 for i in range(n)}, 1)
+    results = {}
+    for name, run in [("conjugate", lambda: h.conjugate(x)), ("power", lambda: x ** 3),
+                      ("negative power", lambda: h ** -2),
+                      ("commutes_with", lambda: h.commutes_with(x))]:
+        start = time.perf_counter()
+        results[name] = run()
+        assert time.perf_counter() - start < 1.0, name
+    assert len(results["conjugate"].base) == 3 * n and results["conjugate"].shift == 1
+    assert len(results["power"].base) == 3 * n and len(results["negative power"].base) == 2 * n
+    assert results["commutes_with"] is False
+
+
+@settings(max_examples=300, deadline=None)
+@given(elements, st.integers(-4, 4))
+def test_pow_matches_long_products(x, k):
+    got = x ** k
+    _assert_canonical(got)
+    factor = x if k >= 0 else _long_inverse(x)
+    expected = IDENTITY
+    for _ in range(abs(k)):
+        expected = _long_product(expected, factor)
+    assert got == expected
 
 
 @settings(max_examples=300, deadline=None)
