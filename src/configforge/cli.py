@@ -29,9 +29,10 @@ OK = 0
 FAILED = 1
 MALFORMED = 2
 
-# JSON syntax and UTF-8 errors are ValueErrors; the decoder raises
-# RecursionError on input nested too deeply
-_MALFORMED_ERRORS = (ValueError, KeyError, TypeError, OSError, RecursionError)
+# the readers refuse malformed input with ValueError, as JSON syntax and
+# UTF-8 errors are; the decoder raises RecursionError on input nested too
+# deeply, and OSError covers unreadable and unwritable paths
+_MALFORMED_ERRORS = (ValueError, OSError, RecursionError)
 
 
 def _load_json(path: str):
@@ -89,18 +90,14 @@ def _dump_json(data, path: str) -> None:
         handle.write("\n}\n")
 
 
-def _print_verdicts(cert: RealizationCertificate) -> None:
-    for mask in sorted(cert.reports):
-        verdict = "f.g." if cert.reports[mask].fg else "not f.g."
-        print(f"{format_subset(mask)}: {verdict}")
-
-
 def cmd_realize(args) -> int:
     config = Configuration.from_json(_load_json(args.config))
     cert = realize(config)
     print(f"n = {config.n}, atoms = {len(config.ones)}, "
           f"ambient power = {cert.ambient_m}")
-    _print_verdicts(cert)
+    for mask in sorted(cert.reports):
+        verdict = "f.g." if cert.reports[mask].fg else "not f.g."
+        print(f"{format_subset(mask)}: {verdict}")
     _dump_json(cert.to_json(), args.out)
     print(f"certificate -> {args.out}")
     return OK

@@ -83,10 +83,6 @@ class Configuration:
             raise ValueError(f"mismatched n: {self.n} vs {other.n}")
         return Configuration(self.n, self.ones | other.ones)
 
-    def atoms(self) -> list["Configuration"]:
-        """Single-1 configurations whose join is this one, ascending mask."""
-        return [Configuration(self.n, (mask,)) for mask in sorted(self.ones)]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Configuration):
             return NotImplemented

@@ -285,9 +285,9 @@ class PermutationalAut:
 
     ``perm`` lists the image of each position (1-based), ``labels`` the
     per-position twist: the induced map sends (x_1, ..., x_k) to the tuple
-    with labels_j(x_j) at position perm_j.  A perm entry that is not an
-    integer, or a label that is not a ``ConjugationAut``, is refused by its
-    position.
+    with labels_j(x_j) at position perm_j.  An empty ``perm`` is refused.
+    A perm entry that is not an integer, or a label that is not a
+    ``ConjugationAut``, is refused by its position.
     """
 
     __slots__ = ("k", "perm", "labels")
@@ -296,6 +296,8 @@ class PermutationalAut:
                  labels: Optional[Sequence[ConjugationAut]] = None):
         perm = tuple(perm)
         k = len(perm)
+        if k == 0:
+            raise ValueError("perm () is empty: it must permute at least one position")
         for position, j in enumerate(perm):
             if not _is_int(j):
                 raise ValueError(f"perm entry {position}: {_excerpt(j)} is not an integer")

@@ -92,16 +92,6 @@ class SubgroupSpec:
         self._hash = hash((m, self.edges, self.pins))
         self._plan = None  # member's compiled checks, built on first use
 
-    @classmethod
-    def free(cls, m: int) -> "SubgroupSpec":
-        """The whole ambient G^m (no constraints)."""
-        return cls(m)
-
-    @classmethod
-    def fully_pinned(cls, m: int) -> "SubgroupSpec":
-        """The trivial subgroup: every coordinate pinned to the identity."""
-        return cls(m, (), range(1, m + 1))
-
     def intersect(self, *others: "SubgroupSpec") -> "SubgroupSpec":
         """Union of constraints; membership means membership in every spec.
 
@@ -143,11 +133,11 @@ class SubgroupSpec:
 
     def _member_plan(self) -> tuple:
         pins = sorted(p - 1 for p in self.pins)
-        plain = [e for e in self.edges if e.label.is_identity]
+        plain = [e for e in self.edges if e.label.conjugator.is_identity]
         return (_getter(pins), (IDENTITY,) * len(pins),
                 _getter([e.src - 1 for e in plain]), _getter([e.dst - 1 for e in plain]),
                 tuple((e.src - 1, e.dst - 1, e.label.conjugator)
-                      for e in self.edges if not e.label.is_identity))
+                      for e in self.edges if not e.label.conjugator.is_identity))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SubgroupSpec):
@@ -311,10 +301,6 @@ def analyze(spec: SubgroupSpec) -> tuple[ComponentReport, ...]:
     return tuple(reports)
 
 
-def is_finitely_generated(spec: SubgroupSpec) -> bool:
-    return all(report.fg for report in analyze(spec))
-
-
 def _fill_component(values: list[WreathElement], report: ComponentReport,
                     root_value: WreathElement) -> None:
     """Write the component's coordinates determined by ``root_value``."""
@@ -417,18 +403,3 @@ def nonfg_witness(spec: SubgroupSpec,
     if in_free_abelian_span(witness[target.root - 1], projected):
         raise AssertionError("witness lies in the span of the candidates")
     return NonFGWitness(candidates, witness)
-
-
-def identity_tuple(m: int) -> tuple[WreathElement, ...]:
-    return (IDENTITY,) * m
-
-
-def tuple_multiply(a: Sequence[WreathElement],
-                   b: Sequence[WreathElement]) -> tuple[WreathElement, ...]:
-    if len(a) != len(b):
-        raise ValueError("tuple lengths differ")
-    return tuple(x * y for x, y in zip(a, b))
-
-
-def tuple_inverse(a: Sequence[WreathElement]) -> tuple[WreathElement, ...]:
-    return tuple(x.inverse() for x in a)

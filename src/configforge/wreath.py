@@ -244,8 +244,7 @@ class ConjugationAut:
     """Edge label: the inner automorphism x -> h x h^-1 of Z wr Z.
 
     The center of Z wr Z is trivial, so the conjugator determines the
-    automorphism; equality and hashing go through it.  Composition
-    multiplies conjugators: (phi_a . phi_b) = phi_{a b}.  Applying it is
+    automorphism; equality and hashing go through it.  Applying it is
     ``WreathElement.conjugate``.
     """
 
@@ -258,17 +257,8 @@ class ConjugationAut:
     def __call__(self, x: WreathElement) -> WreathElement:
         return self.conjugator.conjugate(x)
 
-    def __mul__(self, other: "ConjugationAut") -> "ConjugationAut":
-        if not isinstance(other, ConjugationAut):
-            return NotImplemented
-        return ConjugationAut(self.conjugator * other.conjugator)
-
     def inverse(self) -> "ConjugationAut":
         return ConjugationAut(self.conjugator.inverse())
-
-    @property
-    def is_identity(self) -> bool:
-        return self.conjugator.is_identity
 
 
 IDENTITY_AUT = ConjugationAut()

@@ -1,8 +1,10 @@
 """Command-line interface: exit codes, determinism, file handling."""
 
+import contextlib
 import copy
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import random
@@ -13,11 +15,11 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import configforge
 from configforge import (Configuration, RealizationCertificate, SubgroupSpec, WreathElement,
-                         realize)
+                         intersection_spec, realize, sample)
 from configforge.cli import _dump_json, _load_candidates, main
 
 HOWSON = {"n": 2, "ones": [[1, 2]]}
@@ -119,7 +121,7 @@ def test_analyze_chain_twist(tmp_path, capsys):
     assert "component {1,2,3}: BaseNotFG, not f.g." in out
     assert "subgroup: not finitely generated" in out
 
-    empty = write_json(tmp_path / "free.json", SubgroupSpec.free(2).to_json())
+    empty = write_json(tmp_path / "free.json", SubgroupSpec(2).to_json())
     assert main(["analyze", "--spec", empty]) == 0
     out = capsys.readouterr().out
     assert out.count("FullFactor") == 2
@@ -633,6 +635,39 @@ def test_readers_refuse_mutated_documents_with_bounded_value_errors(reader, doc,
         reader(mutated)
     except ValueError as exc:
         assert len(str(exc).encode()) < 1024
+
+
+# subset {1,2} of _CERT_JSON is prescribed not f.g., so witness reads --gens
+# there; these candidates are members of its intersection
+_WITNESS_GENS = [[e.to_json() for e in sample(intersection_spec(
+    RealizationCertificate.from_json(_CERT_JSON).specs, 0b11), seed=seed)] for seed in (1, 2)]
+# each command with the document it reads, written to "{doc}"
+_COMMANDS = {
+    "realize": (["realize", "--config", "{doc}", "--out", "{out}"], _CERT_JSON["config"]),
+    "verify": (["verify", "--cert", "{doc}", "--samples", "1"], _CERT_JSON),
+    "analyze": (["analyze", "--spec", "{doc}"], _CERT_JSON["specs"][1]),
+    "witness": (["witness", "--cert", "{doc}", "--subset", "1,2"], _CERT_JSON),
+    "witness-gens": (["witness", "--cert", "{cert}", "--subset", "1,2", "--gens", "{doc}"],
+                     _WITNESS_GENS),
+}
+
+
+@pytest.mark.parametrize("argv, doc", _COMMANDS.values(), ids=_COMMANDS.keys())
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cli_exits_0_1_or_2_on_mutated_files(argv, doc, data):
+    mutated = _mutated(doc, data.draw)
+    # analyze walks every coordinate, so its cost is linear in m
+    assume(argv[0] != "analyze" or not isinstance(mutated, dict)
+           or not isinstance(mutated.get("m"), int) or mutated["m"] <= 10**6)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, f"{name}.json") for name in ("doc", "cert", "out")}
+        for name, content in (("doc", mutated), ("cert", _CERT_JSON)):
+            with open(paths[name], "w", encoding="utf-8") as handle:
+                json.dump(content, handle)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([arg.format(**paths) for arg in argv])
+    assert code in (0, 1, 2)
 
 
 def test_cli_realize_writes_the_recorded_full_n5_certificate(tmp_path):

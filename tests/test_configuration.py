@@ -51,18 +51,11 @@ def test_join_laws_random():
             assert a.join(Configuration(n)) == a
 
 
-def test_atoms_empty_for_all_zero():
-    assert Configuration(3).atoms() == []
-
-
 def test_atoms_join_back():
     c = Configuration(3, [0b011, 0b111])
-    atoms = c.atoms()
-    assert [sorted(a.ones) for a in atoms] == [[0b011], [0b111]]
     folded = Configuration(3)
-    for atom in atoms:
-        assert len(atom.ones) == 1
-        folded = folded.join(atom)
+    for mask in sorted(c.ones):
+        folded = folded.join(Configuration(3, (mask,)))
     assert folded == c
 
 
@@ -73,8 +66,8 @@ def test_atoms_join_back_random():
         top = (1 << n) - 1
         c = Configuration(n, [m for m in range(1, top + 1) if rng.random() < 0.5])
         folded = Configuration(n)
-        for atom in c.atoms():
-            folded = folded.join(atom)
+        for mask in c.ones:
+            folded = folded.join(Configuration(n, (mask,)))
         assert folded == c
 
 

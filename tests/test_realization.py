@@ -104,7 +104,7 @@ def test_realize_atom_errors():
 def test_realize_atom_is_one_block_of_realize(n):
     for mask in range(1, 1 << n):
         assert realize_atom(n, mask_elements(mask)) == list(realize(Configuration(n, [mask])).specs)
-    assert realize(Configuration(n)).specs == (SubgroupSpec.fully_pinned(n),) * n
+    assert realize(Configuration(n)).specs == (SubgroupSpec(n, (), range(1, n + 1)),) * n
 
 
 def test_realize_all_zero_configuration():
@@ -341,6 +341,32 @@ def test_constraint_check_rejects_a_twisted_cycle_read_as_free(
     assert capsys.readouterr().out == "subset {1}: constraint-rejected\n"
 
 
+def _split_into_singletons(reports):
+    # each half keeps the tree's conjugators, so the edge would hold if
+    # read in either one
+    return tuple(r._replace(nodes=frozenset((v,)), root=v)
+                 for r in reports for v in sorted(r.nodes))
+
+
+@pytest.mark.parametrize("spec, forge", [
+    # coordinate 1 listed twice and coordinate 2 dropped, the sizes' sum kept
+    (SubgroupSpec(2), lambda reports: (reports[0],) * 2),
+    # the chain 1 -> 2 split into two free singletons: its edge joins two
+    (SubgroupSpec(2, [Edge(1, 2, IDENTITY_AUT)]), _split_into_singletons),
+], ids=["node-named-twice", "edge-between-components"])
+def test_constraint_check_rejects_a_forged_component_layout(spec, forge, monkeypatch):
+    # recorded and recomputed under the same forged analysis, so the
+    # report fits and matches; only the constraint check can refuse it
+    honest = analyze(spec)
+    monkeypatch.setattr(realization, "analyze",
+                        lambda s: forge(honest) if s == spec else analyze(s))
+    report = realization._subset_analysis(spec, 0b1)
+    forged = RealizationCertificate(Configuration(1), 2, (spec,), {0b1: report})
+    assert report.components == ((1, FULL_FACTOR), (1, FULL_FACTOR))
+    assert realization.check_subset(forged, 0b1, samples=0) == "constraint-rejected"
+    assert not verify(forged)
+
+
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(1, 4), code=st.integers(0, (1 << 15) - 1))
 def test_honest_certificates_pass_the_constraint_check(n, code):
@@ -514,7 +540,7 @@ def test_orbit_holonomy_is_product_of_labels_around_cycle():
 
 
 def test_intersection_spec_rejects_mismatched_ambient():
-    specs = [SubgroupSpec.free(2), SubgroupSpec.free(3)]
+    specs = [SubgroupSpec(2), SubgroupSpec(3)]
     with pytest.raises(ValueError):
         intersection_spec(specs, 0b11)
     with pytest.raises(ValueError):
@@ -536,6 +562,7 @@ def test_permutational_aut_validation():
     ([2, "1"], None, "perm entry 1: '1' is not an integer"),
     ([2, 1], [IDENTITY_AUT, delta(0)], "label 1: WreathElement({0: 1}, shift=0) is not a"),
     ([1], [None], "label 0: None is not a ConjugationAut"),
+    ([], None, "perm () is empty"),  # fixed_subgroup named its ambient power m = 0
 ])
 def test_permutational_aut_refuses_non_integer_entries_and_non_labels(perm, labels, message):
     # each used to be accepted, failing only when applied or when
