@@ -93,12 +93,13 @@ def _dump_json(data, path: str) -> None:
 def cmd_realize(args) -> int:
     config = Configuration.from_json(_load_json(args.config))
     cert = realize(config)
+    # write first: a run that cannot write its certificate prints no verdicts
+    _dump_json(cert.to_json(), args.out)
     print(f"n = {config.n}, atoms = {len(config.ones)}, "
           f"ambient power = {cert.ambient_m}")
     for mask in sorted(cert.reports):
         verdict = "f.g." if cert.reports[mask].fg else "not f.g."
         print(f"{format_subset(mask)}: {verdict}")
-    _dump_json(cert.to_json(), args.out)
     print(f"certificate -> {args.out}")
     return OK
 

@@ -436,21 +436,6 @@ def classify_centralizer(elements: Iterable[WreathElement]) -> CentralizerClass:
     return CentralizerClass(CYCLIC, head)
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(x, y, g) with x a + y b = g = gcd(a, b) > 0."""
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
-
-
 def in_free_abelian_span(target: WreathElement,
                          generators: Iterable[WreathElement]) -> bool:
     """Decide whether ``target`` lies in the subgroup of the free abelian
@@ -459,9 +444,15 @@ def in_free_abelian_span(target: WreathElement,
     All inputs must have shift zero.  A target nonzero at an index where
     every generator is zero is outside the span, decided before any
     elimination.  Otherwise restricts to the generators' support and
-    keeps an integer row-echelon basis of the generated lattice
-    (Hermite-style, extended-gcd row combinations), then tests whether the
-    target reduces to zero.
+    builds a Hermite normal form of the generated lattice, one generator at
+    a time.  ``rows[j]`` is the basis row whose first nonzero entry is at
+    column j (the echelon form).  At each nonzero column j of an entering
+    vector, Euclid's steps run against ``rows[j]`` (a missing row is the
+    zero row) until the vector is zero there.  The row left at j is
+    reduced at the pivot columns after j as they stand, so that when it is
+    stored each of its entries there lies between 0 and that pivot; the
+    vector goes on to the next column.  The target is in the span exactly
+    when the same reduction, from column 0, leaves it zero.
     """
     generators = list(generators)
     if target.shift or any(g.shift for g in generators):
@@ -471,42 +462,33 @@ def in_free_abelian_span(target: WreathElement,
     if any(i not in position for i, _ in target.base):
         return False
     width = len(support)
+    rows: dict[int, list[int]] = {}
 
-    pivot_rows: dict[int, list[int]] = {}
-    for g in generators:
+    def vector(element: WreathElement) -> list[int]:
         vec = [0] * width
-        for i, c in g.base:
+        for i, c in element.base:
             vec[position[i]] = c
-        for j in range(width):
-            if not vec[j]:
-                continue
-            row = pivot_rows.get(j)
-            if row is None:
-                pivot_rows[j] = vec
-                break
-            a, b = row[j], vec[j]
-            if b % a == 0:
-                q = b // a
-                for p in range(j, width):
-                    vec[p] -= q * row[p]
-            else:
-                x, y, gcd = _xgcd(a, b)
-                ag, bg = a // gcd, b // gcd
-                for p in range(j, width):
-                    rp, vp = row[p], vec[p]
-                    row[p] = x * rp + y * vp
-                    vec[p] = ag * vp - bg * rp
+        return vec
 
-    vec = [0] * width
-    for i, c in target.base:
-        vec[position[i]] = c
-    for j in range(width):
-        if not vec[j]:
-            continue
-        row = pivot_rows.get(j)
-        if row is None or vec[j] % row[j]:
-            return False
+    def subtract(vec: list[int], row: list[int], j: int) -> None:
+        # vec -= q row, q the floor quotient at column j; row is zero before j
         q = vec[j] // row[j]
         for p in range(j, width):
             vec[p] -= q * row[p]
-    return True
+
+    def reduce(vec: list[int], start: int) -> list[int]:
+        for j in range(start, width):
+            if vec[j] and j in rows:
+                subtract(vec, rows[j], j)
+        return vec
+
+    for g in generators:
+        vec = vector(g)
+        for j in range(width):
+            if vec[j]:
+                row = rows.get(j) or [0] * width
+                while vec[j]:
+                    row, vec = vec, row
+                    subtract(vec, row, j)
+                rows[j] = reduce(row, j + 1)
+    return not any(reduce(vector(target), 0))

@@ -512,6 +512,48 @@ def test_span_matches_bounded_search():
     assert undecided < 30
 
 
+@pytest.mark.parametrize("k, expected", [(40, False), (45, True), (50, True), (60, True)])
+def test_span_of_dense_generators_is_decided_in_under_a_second(k, expected):
+    # k dense generators over 40 indices, target inside their support: an
+    # elimination that lets its entries grow took 37 s at k = 45
+    r = random.Random(k)
+    generators = [WreathElement({i: r.randint(-9, 9) for i in range(40)}) for _ in range(k)]
+    start = time.perf_counter()
+    assert in_free_abelian_span(delta(0), generators) is expected
+    assert time.perf_counter() - start < 1.0
+
+
+def _structured_generators(family, k, width, r):
+    if family == "dense":
+        return [{i: r.randint(-9, 9) for i in range(width)} for _ in range(k)]
+    if family == "banded":
+        band = width - k + 1
+        return [{s + t: r.randint(-9, 9) for t in range(band)} for s in range(k)]
+    # cyclic shifts of a few random rows
+    rows = [[r.randint(-9, 9) for _ in range(width)] for _ in range(-(-k // width))]
+    return [{(s + t) % width: rows[s // width][t] for t in range(width)} for s in range(k)]
+
+
+@pytest.mark.parametrize("family, k, width", [
+    ("dense", 45, 40), ("dense", 60, 40), ("banded", 30, 80), ("circulant", 80, 30)])
+def test_span_decides_structured_lattices(family, k, width):
+    r = random.Random(f"{family} {k} {width}")
+    vectors = _structured_generators(family, k, width, r)
+    generators = [WreathElement(v) for v in vectors]
+    doubled = [WreathElement({i: 2 * c for i, c in v.items()}) for v in vectors]
+    for _ in range(3):
+        coefficients = [r.randint(-5, 5) for _ in vectors]
+        combination = IDENTITY
+        for g, c in zip(generators, coefficients):
+            combination = combination * g ** c
+        assert in_free_abelian_span(combination, generators)
+        even = combination * combination
+        assert in_free_abelian_span(even, doubled)
+        # one odd coefficient, inside the support: the support test cannot decide it
+        odd = even * delta(r.randrange(width))
+        assert not in_free_abelian_span(odd, doubled)
+
+
 def test_element_json_roundtrip():
     x = WreathElement({-2: 5, 7: -1}, 3)
     assert WreathElement.from_json(x.to_json()) == x
